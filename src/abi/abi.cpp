@@ -66,22 +66,21 @@ constexpr BoundaryMode BoundaryMap[5] = {
     BoundaryMode::HighInclusive,
 };
 
-/// Maps C options onto PrintOptions; false on any out-of-range field.
-bool resolveOptions(const dragon4_options *In, PrintOptions &Out) {
-  Out = PrintOptions{};
-  if (!In)
-    return true;
-  unsigned Base = In->base == 0 ? 10u : In->base;
+/// Maps C options onto \p Out, which holds the library defaults on entry;
+/// false on any out-of-range field.  NULL options never come here: the
+/// defaults need no mapping.
+bool resolveOptions(const dragon4_options &In, PrintOptions &Out) {
+  unsigned Base = In.base == 0 ? 10u : In.base;
   if (Base < 2 || Base > 36)
     return false;
-  if (In->boundaries > 4 || In->ties > 2)
+  if (In.boundaries > 4 || In.ties > 2)
     return false;
   Out.Base = Base;
-  Out.Boundaries = BoundaryMap[In->boundaries];
-  Out.Ties = static_cast<TieBreak>(In->ties);
-  Out.Marks = In->marks_as_zeros ? MarkStyle::Zeros : MarkStyle::Hash;
-  Out.UppercaseDigits = In->uppercase_digits != 0;
-  Out.ExponentMarker = In->exponent_marker == 0 ? 'e' : In->exponent_marker;
+  Out.Boundaries = BoundaryMap[In.boundaries];
+  Out.Ties = static_cast<TieBreak>(In.ties);
+  Out.Marks = In.marks_as_zeros ? MarkStyle::Zeros : MarkStyle::Hash;
+  Out.UppercaseDigits = In.uppercase_digits != 0;
+  Out.ExponentMarker = In.exponent_marker == 0 ? 'e' : In.exponent_marker;
   return true;
 }
 
@@ -115,14 +114,16 @@ dragon4_status toCharsFixedTyped(engine::Scratch &S, uint64_t Lo, uint64_t Hi,
   return Required <= Capacity ? DRAGON4_OK : DRAGON4_ERR_SIZE;
 }
 
-dragon4_status toChars(engine::Scratch &S, dragon4_format Format,
-                       uint64_t Lo, uint64_t Hi,
-                       const dragon4_options *Options, char *Buffer,
-                       size_t Capacity, size_t *Length) {
+/// Inlined into both shortest entry points: one call frame between the C
+/// caller and the engine.
+[[gnu::always_inline]] inline dragon4_status
+toChars(engine::Scratch &S, dragon4_format Format, uint64_t Lo, uint64_t Hi,
+        const dragon4_options *Options, char *Buffer, size_t Capacity,
+        size_t *Length) {
   if (!Length || (!Buffer && Capacity > 0))
     return DRAGON4_ERR_BAD_ARGUMENT;
   PrintOptions Resolved;
-  if (!resolveOptions(Options, Resolved))
+  if (Options && !resolveOptions(*Options, Resolved))
     return DRAGON4_ERR_BAD_ARGUMENT;
   switch (Format) {
   case DRAGON4_FORMAT_BINARY16:
@@ -150,7 +151,7 @@ dragon4_status toCharsFixed(engine::Scratch &S, dragon4_format Format,
   if (!Length || (!Buffer && Capacity > 0) || FractionDigits < 0)
     return DRAGON4_ERR_BAD_ARGUMENT;
   PrintOptions Resolved;
-  if (!resolveOptions(Options, Resolved))
+  if (Options && !resolveOptions(*Options, Resolved))
     return DRAGON4_ERR_BAD_ARGUMENT;
   switch (Format) {
   case DRAGON4_FORMAT_BINARY16:

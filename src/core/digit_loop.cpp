@@ -14,7 +14,6 @@
 using namespace dragon4;
 
 bool dragon4::testhooks::FlipDigitLoopLowComparison = false;
-unsigned dragon4::testhooks::DigitLoopSyntheticSpinPerDigit = 0;
 
 DigitLoopResult dragon4::runDigitLoop(ScaledState State, unsigned B,
                                       BoundaryFlags Flags, TieBreak Ties) {
@@ -31,13 +30,6 @@ void dragon4::runDigitLoopInto(ScaledState State, unsigned B,
   Result.Incremented = false;
   BigInt Quotient;
   for (;;) {
-    if (unsigned Spin = testhooks::DigitLoopSyntheticSpinPerDigit)
-        [[unlikely]] {
-      // CI regression self-test: a synthetic, attribution-visible slowdown
-      // confined to this phase (volatile so the loop survives -O2).
-      for (volatile unsigned I = 0; I < Spin; ++I) {
-      }
-    }
     BigInt::divMod(State.R, State.S, Quotient, State.R);
     uint64_t Digit = Quotient.isZero() ? 0 : Quotient.toUint64();
     D4_ASSERT(Digit < B, "digit out of range (scaling was wrong)");

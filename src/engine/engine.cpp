@@ -8,12 +8,14 @@
 /// The single-value engine layer, one template over all five formats and
 /// every output sink.  The conversion core is untouched: this file routes
 /// it through reusable storage (Scratch's arena and digit buffers) and
-/// renders the resulting digits through the same render_core templates
+/// renders the resulting digits through the same render_core layout rules
 /// that back format/render.cpp, so engine::format(v) == toShortest(v)
-/// holds byte for byte for every instantiation.  formatInto is the one
-/// writer-generic body; format() (BufferSink), the StringTable batch path
-/// (format() per slot), and RecordStream::push (StreamSink) are its
-/// instantiations.
+/// holds byte for byte for every instantiation.  The Ryu rung skips the
+/// reusable storage altogether: its decimal significand is rendered
+/// straight into the sink, and only the Grisu and exact rungs open a
+/// ConversionScope.  formatInto is the one writer-generic body; format()
+/// (BufferSink), the StringTable batch path (format() per slot), and
+/// RecordStream::push (StreamSink) are its instantiations.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -119,25 +121,19 @@ bool putSpecial(W &Out, T Value, EngineStats &Stats, WriteZero writeZero) {
   return true;
 }
 
-} // namespace
-
-template <typename T, typename W>
-size_t dragon4::engine::formatInto(T Value, const PrintOptions &Options,
-                                   Scratch &S, W &Out) {
-  using Traits = IeeeTraits<T>;
-  using Format = FormatTraits<T>;
-  EngineStats &Stats = ScratchAccess::stats(S);
-  // A StreamSink arrives mid-stream; everything below reports lengths
-  // relative to this call's first byte.
-  const size_t Start = Out.written();
-  // Closes out one call: counts truncation (bounded sinks only -- an
-  // unbounded sink never overflows) and returns this call's length.
-  auto Finish = [&]() -> size_t {
-    if (sinkOverflowed(Out))
-      ++Stats.Truncated;
-    return Out.written() - Start;
-  };
-
+/// The observability frame every engine conversion runs in: the sampling
+/// decision, the installed trace and phase collector, and the Total span
+/// around \p Convert, which performs the conversion, names the path it
+/// took in its obs::Path argument, and returns the length.  A sampled
+/// conversion is archived after the Total span closes -- the observer's
+/// own bookkeeping is not conversion time, so the phase profile describes
+/// the conversion alone.
+template <typename T, Sink W, typename ConvertFn>
+size_t observeConversion([[maybe_unused]] T Value,
+                         [[maybe_unused]] const PrintOptions &Options,
+                         [[maybe_unused]] Scratch &S,
+                         [[maybe_unused]] const W &Out, ConvertFn &&Convert) {
+  obs::Path PathKind = obs::Path::Unknown;
 #if DRAGON4_OBS_ENABLED
   // Sampling decision up front: one branch when sampling is off.  When this
   // conversion is not sampled the previous active trace (if any -- tests
@@ -163,119 +159,91 @@ size_t dragon4::engine::formatInto(T Value, const PrintOptions &Options,
   // whatever is installed (tests profile explicitly) in place.
   prof::PhaseScope ProfScope(Sampled ? &Obs.Phases
                                      : prof::activePhaseCollector());
-  obs::Path PathKind = obs::Path::Unknown;
-  auto ObsEpilogue = [&](size_t Len) {
-    if (Sampled) {
-      uint64_t BitsLo, BitsHi;
-      Format::encodingBits(Value, BitsLo, BitsHi);
-      Obs.finishConversion(Obs.Current, PathKind, Format::Id, BitsLo, BitsHi,
-                           StartNs,
-                           obs::nowNanos() - StartNs,
-                           /*Truncated=*/sinkOverflowed(Out),
-                           /*Mismatch=*/false);
-    }
-    return Len;
-  };
+  size_t Len = 0;
+  {
+    D4_PROF_SPAN(Total);
+    Len = Convert(PathKind);
+  }
+  if (Sampled) {
+    const uint64_t LatencyNs = obs::nowNanos() - StartNs;
+    uint64_t BitsLo, BitsHi;
+    FormatTraits<T>::encodingBits(Value, BitsLo, BitsHi);
+    Obs.finishConversion(Obs.Current, PathKind, FormatTraits<T>::Id, BitsLo,
+                         BitsHi, StartNs, LatencyNs,
+                         /*Truncated=*/sinkOverflowed(Out),
+                         /*Mismatch=*/false);
+  }
+  return Len;
 #else
-  auto ObsEpilogue = [](size_t Len) { return Len; };
+  return Convert(PathKind);
 #endif
-  D4_PROF_SPAN(Total);
+}
+
+/// The shortest-output ladder behind formatInto, run inside
+/// observeConversion's frame.  Returns the length of this call's output.
+template <typename T, Sink W>
+size_t shortestInto(T Value, const PrintOptions &Options, Scratch &S, W &Out,
+                    obs::Path &PathKind) {
+  using Traits = IeeeTraits<T>;
+  using Format = FormatTraits<T>;
+  EngineStats &Stats = ScratchAccess::stats(S);
+  // A StreamSink arrives mid-stream; everything below reports lengths
+  // relative to this call's first byte.
+  const size_t Start = Out.written();
+  // Closes out one call: counts truncation (bounded sinks only -- an
+  // unbounded sink never overflows) and returns this call's length.
+  auto Finish = [&]() -> size_t {
+    if (sinkOverflowed(Out))
+      ++Stats.Truncated;
+    return Out.written() - Start;
+  };
 
   bool Negative = false;
   {
     D4_PROF_SPAN(Decompose);
     if (putSpecial(Out, Value, Stats, [&Out] { Out.put('0'); })) {
-#if DRAGON4_OBS_ENABLED
       PathKind = obs::Path::Special;
-#endif
-      return ObsEpilogue(Finish());
+      return Finish();
     }
     Negative = signBit(Value);
   }
-
-  // All BigInt limbs below come from the Scratch arena; the scope rewinds
-  // it on every exit path.  Wide mantissas (DecomposedBig's BigInt) live
-  // inside the scope so their limbs are arena-backed too -- D is declared
-  // after Scope and therefore destroyed before the arena rewinds.
-  ConversionScope Scope(S);
-
-  using DecompT =
-      std::conditional_t<Format::WideMantissa, DecomposedBig, Decomposed>;
-  DecompT D;
-  bool OddMantissa = false;
-  {
-    D4_PROF_SPAN(Decompose);
-    if constexpr (Format::WideMantissa) {
-      D = decomposeBig(Value);
-      OddMantissa = D.F.testBit(0);
-    } else {
-      D = decompose(Value);
-      OddMantissa = (D.F & 1) != 0;
-    }
-  }
-  const bool OptionsAllowFast = fastPathEligible(Options, OddMantissa);
+  ++Stats.Conversions;
+  ++Stats.FormatConversions[static_cast<int>(Format::Id)];
 
   std::span<const uint8_t> Digits;
   int K = 0;
-  // The fallback ladder: Ryu -> Grisu3 -> exact loop.  Ryu is the front
-  // line for every certified narrow format (binary16/32/64) and any
-  // symmetric reader model; its only failures are defensive range checks,
-  // counted as RyuFallbacks.  The RyuPath/FastPath phase spans live
-  // inside the converters themselves.
-  bool RyuOk = false;
-  bool RyuTried = false;
-  if constexpr (!Format::WideMantissa && Format::RyuCertified) {
-    bool AcceptBounds = false;
-    if (ryuEligible(Options.Base, Options.Boundaries, !OddMantissa,
-                    AcceptBounds)) {
-      RyuTried = true;
-      RyuOk = ryuShortestInto(D.F, D.E, Traits::Precision,
-                              Traits::MinExponent, AcceptBounds, Options.Ties,
-                              ScratchAccess::fastDigits(S), K);
+  // The Grisu3 and exact rungs, which produce a digit string.  Callers
+  // hold a ConversionScope: every BigInt limb they touch comes from the
+  // Scratch arena, rewound when the scope closes.  The digits themselves
+  // land in plain vectors that outlive the scope.
+  auto DigitStringRungs = [&](const auto &D, bool OddMantissa) {
+    const bool OptionsAllowFast = fastPathEligible(Options, OddMantissa);
+    // Only Grisu-certified formats (binary32/64) may enter the Grisu rung;
+    // the rest are counted as format-ineligible below rather than silently
+    // special-cased.  The FastPath phase span lives inside the converter.
+    bool FastOk = false;
+    if constexpr (Format::FastPathCertified) {
+      if (OptionsAllowFast)
+        FastOk = grisuShortestInto(D.F, D.E, Traits::Precision,
+                                   Traits::MinExponent,
+                                   ScratchAccess::fastDigits(S), K);
     }
-  }
-  if (RyuTried && !RyuOk)
-    ++Stats.RyuFallbacks;
-  // Only Grisu-certified formats (binary32/64) may enter the Grisu rung;
-  // the rest are counted as format-ineligible below rather than silently
-  // special-cased.
-  bool FastOk = false;
-  if constexpr (Format::FastPathCertified) {
-    if (!RyuOk && OptionsAllowFast)
-      FastOk = grisuShortestInto(D.F, D.E, Traits::Precision,
-                                 Traits::MinExponent,
-                                 ScratchAccess::fastDigits(S), K);
-  }
-  if (RyuOk) {
-    ++Stats.RyuHits;
-    Digits = ScratchAccess::fastDigits(S);
-#if DRAGON4_OBS_ENABLED
-    PathKind = obs::Path::Ryu;
-    if (auto *Trace = obs::activeTrace()) {
-      // The fast path bypasses the digit loop's trace point.
-      Trace->DigitsEmitted = static_cast<uint32_t>(Digits.size());
-      Trace->FinalK = K;
+    if (FastOk) {
+      ++Stats.FastPathHits;
+      Digits = ScratchAccess::fastDigits(S);
+      PathKind = obs::Path::FastPath;
+      if (auto *Trace = obs::activeTrace()) {
+        // The fast path bypasses the digit loop's trace point.
+        Trace->DigitsEmitted = static_cast<uint32_t>(Digits.size());
+        Trace->FinalK = K;
+      }
+      return;
     }
-#endif
-  } else if (FastOk) {
-    ++Stats.FastPathHits;
-    Digits = ScratchAccess::fastDigits(S);
-#if DRAGON4_OBS_ENABLED
-    PathKind = obs::Path::FastPath;
-    if (auto *Trace = obs::activeTrace()) {
-      // The fast path bypasses the digit loop's trace point.
-      Trace->DigitsEmitted = static_cast<uint32_t>(Digits.size());
-      Trace->FinalK = K;
-    }
-#endif
-  } else {
     if (Format::FastPathCertified && OptionsAllowFast) {
       ++Stats.FastPathFails;
-#if DRAGON4_OBS_ENABLED
       PathKind = obs::Path::SlowFallback;
       if (auto *Trace = obs::activeTrace())
         Trace->FastFail = 1; // Attempted but uncertified.
-#endif
     } else {
       ++Stats.SlowPathDirect;
       // The format-ineligible dimension is option-independent: for an
@@ -283,11 +251,9 @@ size_t dragon4::engine::formatInto(T Value, const PrintOptions &Options,
       // so every slow-direct conversion is counted.
       if (!Format::FastPathCertified)
         ++Stats.FastPathIneligibleFormat;
-#if DRAGON4_OBS_ENABLED
       PathKind = obs::Path::SlowDirect;
       if (auto *Trace = obs::activeTrace())
         Trace->FastFail = 2; // Ineligible for the fast path.
-#endif
     }
     DigitLoopResult &Loop = ScratchAccess::loop(S);
     if constexpr (Format::WideMantissa)
@@ -300,9 +266,59 @@ size_t dragon4::engine::formatInto(T Value, const PrintOptions &Options,
                                Loop);
     Digits = Loop.Digits;
     recordSlowDigits(Stats, Digits.size());
+  };
+
+  if constexpr (Format::WideMantissa) {
+    // D is declared after Scope and therefore destroyed (its arena-backed
+    // BigInt first) before the arena rewinds.
+    ConversionScope Scope(S);
+    DecomposedBig D;
+    {
+      D4_PROF_SPAN(Decompose);
+      D = decomposeBig(Value);
+    }
+    DigitStringRungs(D, D.F.testBit(0));
+  } else {
+    Decomposed D;
+    {
+      D4_PROF_SPAN(Decompose);
+      D = decompose(Value);
+    }
+    const bool OddMantissa = (D.F & 1) != 0;
+    // The fallback ladder: Ryu -> Grisu3 -> exact loop.  Ryu is the front
+    // line for every certified narrow format (binary16/32/64) and any
+    // symmetric reader model, and renders straight from its decimal
+    // significand: no digit vector, no arena.  Its only failures are
+    // defensive range checks, counted as RyuFallbacks.  The RyuPath span
+    // lives inside the converter itself.
+    if constexpr (Format::RyuCertified) {
+      bool AcceptBounds = false;
+      if (ryuEligible(Options.Base, Options.Boundaries, !OddMantissa,
+                      AcceptBounds)) {
+        uint64_t Significand = 0;
+        int Length = 0;
+        if (ryuShortestDecimal(D.F, D.E, Traits::Precision,
+                               Traits::MinExponent, AcceptBounds, Options.Ties,
+                               Significand, Length, K)) {
+          ++Stats.RyuHits;
+          PathKind = obs::Path::Ryu;
+          if (auto *Trace = obs::activeTrace()) {
+            // The fast path bypasses the digit loop's trace point.
+            Trace->DigitsEmitted = static_cast<uint32_t>(Length);
+            Trace->FinalK = K;
+          }
+          D4_PROF_SPAN(Render);
+          render_detail::renderDecimalAutoInto<maxShortestBufferSize<T>(10)>(
+              Out, Significand, Length, K, Negative,
+              renderOptionsFrom(Options));
+          return Finish();
+        }
+        ++Stats.RyuFallbacks;
+      }
+    }
+    ConversionScope Scope(S);
+    DigitStringRungs(D, OddMantissa);
   }
-  ++Stats.Conversions;
-  ++Stats.FormatConversions[static_cast<int>(Format::Id)];
 
   {
     D4_PROF_SPAN(Render);
@@ -310,66 +326,21 @@ size_t dragon4::engine::formatInto(T Value, const PrintOptions &Options,
                                   Negative, renderOptionsFrom(Options));
   }
   S.syncArenaStats();
-  return ObsEpilogue(Finish());
+  return Finish();
 }
 
+/// The fixed-format conversion behind formatFixed, run inside
+/// observeConversion's frame.  Returns the full (required) length.
 template <typename T>
-size_t dragon4::engine::format(T Value, char *Buffer, size_t BufferSize,
-                               const PrintOptions &Options, Scratch &S) {
-  BufferSink Out(Buffer, BufferSize);
-  return formatInto(Value, Options, S, Out);
-}
-
-template <typename T>
-size_t dragon4::engine::formatFixed(T Value, int FractionDigits, char *Buffer,
-                                    size_t BufferSize,
-                                    const PrintOptions &Options, Scratch &S) {
-  D4_ASSERT(FractionDigits >= 0, "negative fraction-digit count");
+size_t fixedInto(T Value, int FractionDigits, const PrintOptions &Options,
+                 Scratch &S, BufferSink &Out, obs::Path &PathKind) {
   using Format = FormatTraits<T>;
   EngineStats &Stats = ScratchAccess::stats(S);
-  BufferSink Out(Buffer, BufferSize);
   auto Finish = [&]() -> size_t {
     if (Out.overflowed())
       ++Stats.Truncated;
     return Out.required();
   };
-
-#if DRAGON4_OBS_ENABLED
-  obs::ObsState &Obs = S.obsState();
-  const bool Sampled = Obs.tick();
-  uint64_t StartNs = 0;
-  if (Sampled) {
-    Obs.Current.reset();
-    // Stamp the active options so a tail-exemplar capture can name the
-    // exact configuration that was slow.
-    Obs.Current.noteOptions(
-        Options.Base,
-        obs::exemplar::packOptionsMode(
-            static_cast<unsigned>(Options.Boundaries),
-            static_cast<unsigned>(Options.Ties)));
-    StartNs = obs::nowNanos();
-  }
-  obs::ActiveTraceScope TraceScope(Sampled ? &Obs.Current
-                                           : obs::activeTrace());
-  prof::PhaseScope ProfScope(Sampled ? &Obs.Phases
-                                     : prof::activePhaseCollector());
-  obs::Path PathKind = obs::Path::Fixed;
-  auto ObsEpilogue = [&](size_t Len) {
-    if (Sampled) {
-      uint64_t BitsLo, BitsHi;
-      Format::encodingBits(Value, BitsLo, BitsHi);
-      Obs.finishConversion(Obs.Current, PathKind, Format::Id, BitsLo, BitsHi,
-                           StartNs,
-                           obs::nowNanos() - StartNs,
-                           /*Truncated=*/Out.overflowed(),
-                           /*Mismatch=*/false);
-    }
-    return Len;
-  };
-#else
-  auto ObsEpilogue = [](size_t Len) { return Len; };
-#endif
-  D4_PROF_SPAN(Total);
 
   if (putSpecial(Out, Value, Stats, [&] {
         Out.put('0');
@@ -378,11 +349,10 @@ size_t dragon4::engine::formatFixed(T Value, int FractionDigits, char *Buffer,
           Out.fill(static_cast<size_t>(FractionDigits), '0');
         }
       })) {
-#if DRAGON4_OBS_ENABLED
     PathKind = obs::Path::Special;
-#endif
-    return ObsEpilogue(Finish());
+    return Finish();
   }
+  PathKind = obs::Path::Fixed;
 
   ConversionScope Scope(S);
   // Scratch-resident loop state and positional result: warm calls reuse
@@ -403,7 +373,35 @@ size_t dragon4::engine::formatFixed(T Value, int FractionDigits, char *Buffer,
                                         renderOptionsFrom(Options));
   }
   S.syncArenaStats();
-  return ObsEpilogue(Finish());
+  return Finish();
+}
+
+} // namespace
+
+template <typename T, typename W>
+size_t dragon4::engine::formatInto(T Value, const PrintOptions &Options,
+                                   Scratch &S, W &Out) {
+  return observeConversion(Value, Options, S, Out, [&](obs::Path &PathKind) {
+    return shortestInto(Value, Options, S, Out, PathKind);
+  });
+}
+
+template <typename T>
+size_t dragon4::engine::format(T Value, char *Buffer, size_t BufferSize,
+                               const PrintOptions &Options, Scratch &S) {
+  BufferSink Out(Buffer, BufferSize);
+  return formatInto(Value, Options, S, Out);
+}
+
+template <typename T>
+size_t dragon4::engine::formatFixed(T Value, int FractionDigits, char *Buffer,
+                                    size_t BufferSize,
+                                    const PrintOptions &Options, Scratch &S) {
+  D4_ASSERT(FractionDigits >= 0, "negative fraction-digit count");
+  BufferSink Out(Buffer, BufferSize);
+  return observeConversion(Value, Options, S, Out, [&](obs::Path &PathKind) {
+    return fixedInto(Value, FractionDigits, Options, S, Out, PathKind);
+  });
 }
 
 namespace dragon4::engine {

@@ -30,6 +30,9 @@
 #include "support/checks.h"
 #include "support/testhooks.h"
 
+#include <array>
+#include <bit>
+
 using namespace dragon4;
 using namespace dragon4::fastpath;
 
@@ -82,21 +85,29 @@ inline uint64_t mulShift(uint64_t M, const Pow5Entry &Pow, int Shift) {
   return static_cast<uint64_t>(Sum >> (Shift - 64));
 }
 
+/// Number of decimal digits of V >= 1: floor(log10(V)) + 1, estimated
+/// from the bit width (1233 / 4096 ~ log10(2)) and corrected by one table
+/// lookup.
 inline int decimalLength(uint64_t V) {
-  int Length = 1;
-  while (V >= 10) {
-    V /= 10;
-    ++Length;
-  }
-  return Length;
+  static constexpr auto Pow10 = [] {
+    std::array<uint64_t, 20> Table{};
+    uint64_t Power = 1;
+    for (uint64_t &Entry : Table) {
+      Entry = Power;
+      Power *= 10; // Wraps once, after 10^19 is stored; never read.
+    }
+    return Table;
+  }();
+  const int Estimate = (static_cast<int>(std::bit_width(V)) * 1233) >> 12;
+  return Estimate + (V >= Pow10[Estimate]);
 }
 
 } // namespace
 
-bool dragon4::ryuShortestInto(uint64_t F, int E, int Precision,
-                              int MinExponent, bool AcceptBounds,
-                              TieBreak Ties, std::vector<uint8_t> &Digits,
-                              int &K) {
+bool dragon4::ryuShortestDecimal(uint64_t F, int E, int Precision,
+                                 int MinExponent, bool AcceptBounds,
+                                 TieBreak Ties, uint64_t &Output,
+                                 int &Length, int &K) {
   D4_PROF_SPAN(RyuPath);
   D4_ASSERT(F != 0, "zero handled by the caller");
 
@@ -195,7 +206,6 @@ bool dragon4::ryuShortestInto(uint64_t F, int E, int Precision,
   const bool FlipBound = testhooks::FlipRyuBoundComparison;
   int Removed = 0;
   uint8_t LastRemovedDigit = 0;
-  uint64_t Output;
   if (VmIsTrailingZeros || VrIsTrailingZeros) {
     // Rare (~0.7% of doubles): exactness bookkeeping is live.
     for (;;) {
@@ -257,12 +267,21 @@ bool dragon4::ryuShortestInto(uint64_t F, int E, int Precision,
   }
 
   // v = Output * 10^(E10 + Removed); in the library's digit convention
-  // v = 0.d1...dn * 10^K.  Emission goes through the unified render core's
-  // digit store, which honors the CI regression self-test's synthetic
-  // per-digit slowdown so the planted regression stays visible now that
-  // Ryu fronts the conversion.
-  const int Length = decimalLength(Output);
+  // v = 0.d1...dn * 10^K.
+  Length = decimalLength(Output);
   K = E10 + Removed + Length;
+  return true;
+}
+
+bool dragon4::ryuShortestInto(uint64_t F, int E, int Precision,
+                              int MinExponent, bool AcceptBounds,
+                              TieBreak Ties, std::vector<uint8_t> &Digits,
+                              int &K) {
+  uint64_t Output = 0;
+  int Length = 0;
+  if (!ryuShortestDecimal(F, E, Precision, MinExponent, AcceptBounds, Ties,
+                          Output, Length, K))
+    return false;
   render_detail::storeDecimalDigits(Output, Length, Digits);
   return true;
 }

@@ -60,12 +60,21 @@ inline bool ryuEligible(unsigned Base, BoundaryMode Boundaries,
 
 /// Engine entry point: converts the positive value F * 2^E (a format with
 /// \p Precision <= 54 mantissa bits and minimum exponent \p MinExponent)
-/// to its shortest correctly rounded decimal form.  On success fills
-/// \p Digits (cleared first, capacity reused across calls) and sets \p K
-/// so that v = 0.d1...dn * 10^K, and returns true.  Returns false only
-/// when a defensive certification check fails (precision or cached-power
-/// range exceeded); the caller must then fall back to Grisu3/Dragon4.
-/// Allocates nothing once \p Digits is warm.
+/// to its shortest correctly rounded decimal form.  On success sets
+/// \p Output to the decimal significand d1...dn as an integer, \p Length
+/// to n (its exact digit count, at most 17), and \p K so that
+/// v = 0.d1...dn * 10^K, and returns true.  Returns false only when a
+/// defensive certification check fails (precision or cached-power range
+/// exceeded); the caller must then fall back to Grisu3/Dragon4.  Touches
+/// no memory besides its outputs, so the caller can render the digits
+/// straight from \p Output (render_detail::renderDecimalAutoInto).
+bool ryuShortestDecimal(uint64_t F, int E, int Precision, int MinExponent,
+                        bool AcceptBounds, TieBreak Ties, uint64_t &Output,
+                        int &Length, int &K);
+
+/// ryuShortestDecimal with the digits stored one per element in \p Digits
+/// (cleared first, capacity reused across calls, so a warm vector
+/// allocates nothing): the DigitString form shortestDigitsLadder returns.
 bool ryuShortestInto(uint64_t F, int E, int Precision, int MinExponent,
                      bool AcceptBounds, TieBreak Ties,
                      std::vector<uint8_t> &Digits, int &K);

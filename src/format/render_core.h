@@ -12,10 +12,16 @@
 /// RecordStream -- emits byte-identical text from the same code instead of
 /// hand-kept twins.
 ///
-/// The digit side is shared too: storeDecimalDigits() is the single
-/// uint64->digit-array emitter, used both by Ryu's emission loop and by any
-/// future fast path, so the CI regression self-test's synthetic per-digit
-/// spin hook is honored in exactly one place.
+/// The layout rules take their digits from one of two sources:
+///
+///   SpanDigits     a digit array in any base followed by trailing marks:
+///                  the exact loop's and the fixed path's digit strings.
+///   DecimalDigits  a base-10 significand held in a uint64_t, turned into
+///                  ASCII with a two-digit table: the Ryu rung's output,
+///                  rendered without a digit-array intermediate.
+///
+/// A source writes a run of output positions at once, so the layout rules
+/// below exist once and serve both.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,9 +31,9 @@
 #include "format/render.h"
 #include "format/sink.h"
 #include "support/checks.h"
-#include "support/testhooks.h"
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -39,63 +45,113 @@ inline char digitChar(uint8_t Value, bool Uppercase) {
   return Uppercase ? Upper[Value] : Lower[Value];
 }
 
+/// "00" "01" ... "99": two decimal digits per lookup.
+inline constexpr char TwoDigits[] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/// Writes the \p Length low-order decimal digits of \p Value to
+/// \p Out[0, Length), most significant first, zero-padded on the left.
+inline void writeDecimal(uint64_t Value, int Length, char *Out) {
+  int Pos = Length;
+  while (Pos >= 2) {
+    const uint64_t Quotient = Value / 100;
+    const size_t Pair = static_cast<size_t>(Value - 100 * Quotient);
+    Pos -= 2;
+    std::memcpy(Out + Pos, TwoDigits + 2 * Pair, 2);
+    Value = Quotient;
+  }
+  if (Pos == 1)
+    Out[0] = static_cast<char>('0' + Value % 10);
+}
+
 /// Stores the \p Length base-10 digits of \p Value into \p Digits, most
 /// significant first (Digits is cleared; capacity is reused, so a warm
-/// vector allocates nothing).  The one place the CI regression self-test's
-/// synthetic per-digit slowdown (testhooks::DigitLoopSyntheticSpinPerDigit)
-/// is honored on the fast-path side, mirroring the exact digit loop's
-/// injection point -- volatile so the spin survives -O2.
+/// vector allocates nothing).  The digit-array form of a Ryu result, for
+/// callers that want a DigitString rather than text.
 inline void storeDecimalDigits(uint64_t Value, int Length,
                                std::vector<uint8_t> &Digits) {
   Digits.clear();
   Digits.resize(static_cast<size_t>(Length));
   for (int Index = Length - 1; Index >= 0; --Index) {
-    if (unsigned Spin = testhooks::DigitLoopSyntheticSpinPerDigit)
-        [[unlikely]] {
-      [[maybe_unused]] volatile unsigned Observed = 0;
-      for (unsigned I = 0; I < Spin; ++I) {
-        Observed = I;
-      }
-    }
     Digits[static_cast<size_t>(Index)] = static_cast<uint8_t>(Value % 10);
     Value /= 10;
   }
 }
 
-/// Symbol for output position \p Index (0-based from the most significant
-/// end): a digit, or the mark character past the digits.
-template <Sink Writer>
-void putPosition(Writer &W, std::span<const uint8_t> Digits, int Index,
-                 const RenderOptions &Options) {
-  if (Index < static_cast<int>(Digits.size())) {
-    W.put(digitChar(Digits[static_cast<size_t>(Index)],
-                    Options.UppercaseDigits));
-    return;
+/// Digit source over a digit array in any base followed by \p TrailingMarks
+/// insignificant positions, rendered as Options.MarkChar.
+class SpanDigits {
+public:
+  SpanDigits(std::span<const uint8_t> Digits, int TrailingMarks,
+             const RenderOptions &Options)
+      : Digits(Digits), TrailingMarks(TrailingMarks), Options(Options) {}
+
+  int width() const { return static_cast<int>(Digits.size()) + TrailingMarks; }
+
+  /// Writes output positions [From, To) (0-based from the most
+  /// significant end): digits, then marks past the digits.
+  template <Sink Writer> void put(Writer &W, int From, int To) const {
+    const int Size = static_cast<int>(Digits.size());
+    for (int Index = From; Index < To; ++Index) {
+      if (Index < Size)
+        W.put(digitChar(Digits[static_cast<size_t>(Index)],
+                        Options.UppercaseDigits));
+      else
+        W.put(Options.MarkChar);
+    }
   }
-  W.put(Options.MarkChar);
-}
+
+private:
+  std::span<const uint8_t> Digits;
+  int TrailingMarks;
+  const RenderOptions &Options;
+};
+
+/// Digit source over a base-10 significand of \p Length digits (at most
+/// 20, the width of a uint64_t), converted to ASCII once, up front.
+class DecimalDigits {
+public:
+  DecimalDigits(uint64_t Significand, int Length) : Length(Length) {
+    D4_ASSERT(Length >= 1 && Length <= MaxLength,
+              "decimal significand length out of range");
+    writeDecimal(Significand, Length, Chars);
+  }
+
+  int width() const { return Length; }
+
+  template <Sink Writer> void put(Writer &W, int From, int To) const {
+    W.append(Chars + From, static_cast<size_t>(To - From));
+  }
+
+private:
+  static constexpr int MaxLength = 20;
+  char Chars[MaxLength];
+  int Length;
+};
 
 /// Decimal exponent with an explicit sign -- snprintf("%+d", Exponent).
 template <Sink Writer> void putExponent(Writer &W, int Exponent) {
-  W.put(Exponent < 0 ? '-' : '+');
+  char Text[12];
+  char *End = Text + sizeof(Text);
+  char *Begin = End;
   unsigned Magnitude = Exponent < 0 ? 0u - static_cast<unsigned>(Exponent)
                                     : static_cast<unsigned>(Exponent);
-  char Reversed[12];
-  int Count = 0;
   do {
-    Reversed[Count++] = static_cast<char>('0' + Magnitude % 10);
+    *--Begin = static_cast<char>('0' + Magnitude % 10);
     Magnitude /= 10;
   } while (Magnitude != 0);
-  while (Count > 0)
-    W.put(Reversed[--Count]);
+  *--Begin = Exponent < 0 ? '-' : '+';
+  W.append(Begin, static_cast<size_t>(End - Begin));
 }
 
 /// Positional notation, e.g. "123.45", "0.00078", "12300".
-template <Sink Writer>
-void renderPositionalInto(Writer &W, std::span<const uint8_t> Digits, int K,
-                          int TrailingMarks, bool Negative,
-                          const RenderOptions &Options) {
-  const int Width = static_cast<int>(Digits.size()) + TrailingMarks;
+template <Sink Writer, typename Source>
+void layoutPositional(Writer &W, const Source &Digits, int K, bool Negative) {
+  const int Width = Digits.width();
   if (Negative)
     W.put('-');
 
@@ -103,55 +159,92 @@ void renderPositionalInto(Writer &W, std::span<const uint8_t> Digits, int K,
     // Pure fraction: 0.000ddd...
     W.literal("0.");
     W.fill(static_cast<size_t>(-K), '0');
-    for (int I = 0; I < Width; ++I)
-      putPosition(W, Digits, I, Options);
+    Digits.put(W, 0, Width);
     return;
   }
-
-  // Integer part: positions K-1 down to 0, zero-padded if the conversion
-  // stopped left of the radix point.
-  int Index = 0;
-  for (int Place = K - 1; Place >= 0; --Place, ++Index) {
-    if (Index < Width)
-      putPosition(W, Digits, Index, Options);
-    else
-      W.put('0');
+  if (K >= Width) {
+    // Nothing after the point; zero-padded if the conversion stopped left
+    // of the radix point.
+    Digits.put(W, 0, Width);
+    W.fill(static_cast<size_t>(K - Width), '0');
+    return;
   }
-  if (Index >= Width)
-    return; // Nothing after the point.
+  Digits.put(W, 0, K);
   W.put('.');
-  for (; Index < Width; ++Index)
-    putPosition(W, Digits, Index, Options);
+  Digits.put(W, K, Width);
 }
 
 /// Scientific notation "d.ddd...e±x"; the exponent is always decimal.
-template <Sink Writer>
-void renderScientificInto(Writer &W, std::span<const uint8_t> Digits, int K,
-                          int TrailingMarks, bool Negative,
-                          const RenderOptions &Options) {
-  const int Width = static_cast<int>(Digits.size()) + TrailingMarks;
+template <Sink Writer, typename Source>
+void layoutScientific(Writer &W, const Source &Digits, int K, bool Negative,
+                      const RenderOptions &Options) {
+  const int Width = Digits.width();
   D4_ASSERT(Width > 0, "cannot render an empty digit string");
   if (Negative)
     W.put('-');
-  putPosition(W, Digits, 0, Options);
+  Digits.put(W, 0, 1);
   if (Width > 1) {
     W.put('.');
-    for (int I = 1; I < Width; ++I)
-      putPosition(W, Digits, I, Options);
+    Digits.put(W, 1, Width);
   }
   W.put(Options.ExponentMarker);
   putExponent(W, K - 1);
 }
 
 /// Chooses positional or scientific per the options' K window.
+template <Sink Writer, typename Source>
+void layoutAuto(Writer &W, const Source &Digits, int K, bool Negative,
+                const RenderOptions &Options) {
+  if (K > Options.PositionalMinK && K <= Options.PositionalMaxK)
+    layoutPositional(W, Digits, K, Negative);
+  else
+    layoutScientific(W, Digits, K, Negative, Options);
+}
+
+// The digit-span entry points: \p Digits (any base) followed by
+// \p TrailingMarks insignificant positions.
+
+template <Sink Writer>
+void renderPositionalInto(Writer &W, std::span<const uint8_t> Digits, int K,
+                          int TrailingMarks, bool Negative,
+                          const RenderOptions &Options) {
+  layoutPositional(W, SpanDigits(Digits, TrailingMarks, Options), K, Negative);
+}
+
+template <Sink Writer>
+void renderScientificInto(Writer &W, std::span<const uint8_t> Digits, int K,
+                          int TrailingMarks, bool Negative,
+                          const RenderOptions &Options) {
+  layoutScientific(W, SpanDigits(Digits, TrailingMarks, Options), K, Negative,
+                   Options);
+}
+
 template <Sink Writer>
 void renderAutoInto(Writer &W, std::span<const uint8_t> Digits, int K,
                     int TrailingMarks, bool Negative,
                     const RenderOptions &Options) {
-  if (K > Options.PositionalMinK && K <= Options.PositionalMaxK)
-    renderPositionalInto(W, Digits, K, TrailingMarks, Negative, Options);
-  else
-    renderScientificInto(W, Digits, K, TrailingMarks, Negative, Options);
+  layoutAuto(W, SpanDigits(Digits, TrailingMarks, Options), K, Negative,
+             Options);
+}
+
+/// renderAutoInto for v = Significand * 10^(K - Length), Length the exact
+/// digit count: the text is laid out in a \p Capacity-byte stack buffer
+/// and reaches \p W in one append.  Capacity should bound every rendering
+/// the caller produces (engine: maxShortestBufferSize<T>); a rendering
+/// that does not fit -- only possible with a widened positional window --
+/// is laid out again straight into \p W, so the bytes never depend on it.
+template <size_t Capacity, Sink Writer>
+void renderDecimalAutoInto(Writer &W, uint64_t Significand, int Length, int K,
+                           bool Negative, const RenderOptions &Options) {
+  const DecimalDigits Digits(Significand, Length);
+  char Local[Capacity];
+  BufferSink Stack(Local, Capacity);
+  layoutAuto(Stack, Digits, K, Negative, Options);
+  if (Stack.overflowed()) [[unlikely]] {
+    layoutAuto(W, Digits, K, Negative, Options);
+    return;
+  }
+  W.append(Local, Stack.required());
 }
 
 } // namespace dragon4::render_detail

@@ -35,12 +35,16 @@
 
 #include <concepts>
 #include <cstddef>
+#include <cstring>
 #include <string>
 #include <vector>
 
 namespace dragon4 {
 
-/// What a renderer may ask of an output surface.  written() reports the
+/// What a renderer may ask of an output surface.  append() is the bulk
+/// write: \p N bytes at once, so a renderer that lays its text out
+/// elsewhere first pays one call (for a bounded sink: one capacity check)
+/// per run of bytes instead of one per byte.  written() reports the
 /// characters the sink has accepted (for a bounded sink: counting the
 /// dropped overflow, so it doubles as the required size).
 template <typename S>
@@ -49,6 +53,7 @@ concept Sink = requires(S &W, const S &CW, char C, size_t N,
   { W.put(C) };
   { W.fill(N, C) };
   { W.literal(Text) };
+  { W.append(Text, N) };
   { CW.written() } -> std::convertible_to<size_t>;
 };
 
@@ -59,6 +64,7 @@ struct StringSink {
   void put(char C) { Out.push_back(C); }
   void fill(size_t Count, char C) { Out.append(Count, C); }
   void literal(const char *Text) { Out.append(Text); }
+  void append(const char *Text, size_t Count) { Out.append(Text, Count); }
   size_t written() const { return Out.size(); }
 };
 
@@ -83,6 +89,18 @@ public:
   void literal(const char *Text) {
     for (; *Text; ++Text)
       put(*Text);
+  }
+  /// One capacity check in the common (fitting) case; on overflow the
+  /// bytes that still fit are written, so the buffer keeps holding the
+  /// first capacity bytes of the rendering.
+  void append(const char *Text, size_t Count) {
+    if (Pos + Count <= Cap) [[likely]] {
+      if (Count != 0) // A size query passes Buf == nullptr.
+        std::memcpy(Buf + Pos, Text, Count);
+    } else if (Pos < Cap) {
+      std::memcpy(Buf + Pos, Text, Cap - Pos);
+    }
+    Pos += Count;
   }
   size_t written() const { return Pos; }
 
@@ -112,6 +130,9 @@ public:
     for (; *Text; ++Text)
       Out.push_back(*Text);
   }
+  void append(const char *Text, size_t Count) {
+    Out.insert(Out.end(), Text, Text + Count);
+  }
   size_t written() const { return Out.size() - Start; }
 
 private:
@@ -131,6 +152,7 @@ struct CountingSink {
     while (*Text++)
       ++Pos;
   }
+  void append(const char *, size_t Count) { Pos += Count; }
   size_t written() const { return Pos; }
 };
 

@@ -48,15 +48,6 @@ extern bool FlipRyuBoundComparison;
 /// Defined in prof/perf.cpp.
 extern bool ForceCounterFallback;
 
-/// Iterations of a volatile no-op spin executed per emitted digit: a
-/// synthetic, deterministic slowdown of the digit-generation phase,
-/// honored by both the exact digit loop and Ryu's emission loop (so the
-/// slowdown stays visible whichever rung of the ladder serves a
-/// conversion).  The CI regression self-test injects this (via
-/// bench_engine_batch --spin-digit-loop=N) and asserts bench_check.py's
-/// trend gate flags the run.  Defined in core/digit_loop.cpp.
-extern unsigned DigitLoopSyntheticSpinPerDigit;
-
 } // namespace dragon4::testhooks
 
 #endif // DRAGON4_SUPPORT_TESTHOOKS_H

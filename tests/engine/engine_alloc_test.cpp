@@ -323,6 +323,34 @@ TEST(EngineAlloc, BoundedSinksThemselvesNeverAllocate) {
   EXPECT_EQ(GlobalNewCount.load(std::memory_order_relaxed) - NewBefore, 0u);
 }
 
+/// The Ryu rung renders straight from its decimal significand: on a
+/// fresh Scratch, default-option conversions never touch the limb arena
+/// and never call operator new -- not even the first one.
+template <typename T>
+void checkRyuPathSkipsArena(const std::vector<T> &Values) {
+  eng::Scratch S;
+  char Buf[64];
+  uint64_t NewBefore = GlobalNewCount.load(std::memory_order_relaxed);
+  uint64_t LimbHeapBefore = limbHeapAllocCount();
+  for (const T &V : Values)
+    eng::format(V, Buf, sizeof(Buf), PrintOptions{}, S);
+  EXPECT_EQ(GlobalNewCount.load(std::memory_order_relaxed) - NewBefore, 0u);
+  EXPECT_EQ(limbHeapAllocCount() - LimbHeapBefore, 0u);
+  S.syncArenaStats();
+  EXPECT_EQ(S.stats().ArenaHighWaterBytes, 0u);
+  EXPECT_GT(S.stats().RyuHits, 0u);
+  EXPECT_EQ(S.stats().RyuHits, S.stats().Conversions);
+}
+
+TEST(EngineAlloc, RyuPathUsesNoArenaOnAFreshScratch) {
+  std::vector<Binary16> Halves;
+  for (uint32_t Bits = 0; Bits < (1u << 16); Bits += 7)
+    Halves.push_back(Binary16::fromBits(static_cast<uint16_t>(Bits)));
+  checkRyuPathSkipsArena(Halves);
+  checkRyuPathSkipsArena(randomBitsFloats(4096, 0xa110c021));
+  checkRyuPathSkipsArena(randomBitsDoubles(4096, 0xa110c022));
+}
+
 TEST(EngineAlloc, ArenaHighWaterIsBounded) {
   eng::Scratch S;
   char Buf[64];

@@ -43,7 +43,7 @@ template <typename W> void emitScript(W &Out) {
   Out.literal("12");
   Out.put('.');
   Out.fill(3, '0');
-  Out.literal("e+07");
+  Out.append("e+07!", 4); // Bulk write: only the first four bytes.
 }
 
 constexpr const char *ScriptText = "-12.000e+07";

@@ -142,8 +142,8 @@ def warn_context(current_ctx, baseline_ctx):
               "its timings include telemetry overhead")
     if current_ctx.get("spin_digit_loop"):
         print("bench_check: WARNING: current run carries an injected "
-              f"digit-loop spin of {current_ctx['spin_digit_loop']} -- "
-              "a regression below is expected")
+              f"spin of {current_ctx['spin_digit_loop']} per emitted "
+              "character -- a regression below is expected")
     for key in ("workload", "count", "hardware_concurrency"):
         if (key in current_ctx and key in baseline_ctx
                 and current_ctx[key] != baseline_ctx[key]):

@@ -1,10 +1,11 @@
 #!/bin/sh
 # Proves the continuous-benchmark pipeline end to end: a synthetic,
-# deterministic slowdown of one algorithm phase (an N-iteration spin per
-# emitted digit, injected through testhooks::DigitLoopSyntheticSpinPerDigit
-# via bench_engine_batch --spin-digit-loop) MUST trip bench_check.py's
-# --history trend gate.  If the planted regression sails through, the gate
-# is decorative and this script exits nonzero.
+# deterministic slowdown proportional to the output (an N-iteration spin
+# per emitted character, planted by bench_engine_batch --spin-digit-loop
+# around every timed conversion; the library carries no hook for it)
+# MUST trip bench_check.py's --history trend gate.  If the planted
+# regression sails through, the gate is decorative and this script exits
+# nonzero.
 #
 #   tools/ci_regression_selftest.sh [build-dir] [count] [spin]
 #
@@ -44,7 +45,7 @@ DRAGON4_BENCH_QUICK=1 "$BENCH" "$TMP/spun.json" "$COUNT" \
 echo "ci_regression_selftest: spun history must FAIL the gate"
 if python3 "$CHECK" --history="$TMP/history.jsonl" \
     --bench=bench_engine_batch; then
-  echo "ci_regression_selftest: FAIL: the planted digit-loop regression" \
+  echo "ci_regression_selftest: FAIL: the planted regression" \
        "was not detected" >&2
   exit 1
 fi
