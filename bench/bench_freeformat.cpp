@@ -12,7 +12,7 @@
 
 #include "baselines/steele_white.h"
 #include "core/free_format.h"
-#include "fastpath/grisu.h"
+#include "baselines/grisu.h"
 #include "format/dtoa.h"
 #include "fp/binary16.h"
 

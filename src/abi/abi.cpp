@@ -84,14 +84,6 @@ bool resolveOptions(const dragon4_options &In, PrintOptions &Out) {
   return true;
 }
 
-/// The default workspace: one lazily constructed Scratch per thread, which
-/// is what makes the plain entry points reentrant across threads with no
-/// locking and no caller bookkeeping.
-engine::Scratch &threadScratch() {
-  thread_local engine::Scratch S;
-  return S;
-}
-
 template <typename T>
 dragon4_status toCharsTyped(engine::Scratch &S, uint64_t Lo, uint64_t Hi,
                             const PrintOptions &Options, char *Buffer,
@@ -220,8 +212,8 @@ dragon4_status dragon4_to_chars(dragon4_format format, uint64_t bits_lo,
                                 uint64_t bits_hi,
                                 const dragon4_options *options, char *buffer,
                                 size_t capacity, size_t *length) {
-  return toChars(threadScratch(), format, bits_lo, bits_hi, options, buffer,
-                 capacity, length);
+  return toChars(engine::threadScratch(), format, bits_lo, bits_hi, options,
+                 buffer, capacity, length);
 }
 
 dragon4_status dragon4_to_chars_scratch(dragon4_scratch *scratch,
@@ -242,7 +234,7 @@ dragon4_status dragon4_to_chars_fixed(dragon4_format format,
                                       const dragon4_options *options,
                                       char *buffer, size_t capacity,
                                       size_t *length) {
-  return toCharsFixed(threadScratch(), format, bits_lo, bits_hi,
+  return toCharsFixed(engine::threadScratch(), format, bits_lo, bits_hi,
                       fraction_digits, options, buffer, capacity, length);
 }
 

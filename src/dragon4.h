@@ -19,7 +19,9 @@
 ///              (narrow f:uint64 or wide f:BigInt), Table 1 boundaries
 ///   core/      scaling, free-format, fixed-format, the rational oracle
 ///              (uint64 and BigInt digit loops behind one interface)
-///   fastpath/  Grisu3, certified for binary32/64 only (traits-gated);
+///   fastpath/  Ryu, the shortest-output front line for binary16/32/64
+///              (traits-gated; the exact loop takes everything it
+///              declines), and the Gay-style fixed-format fast path.
 ///              Ryu's digit emission reuses render_core's digit store (the
 ///              one accepted fastpath -> format edge: render_core.h itself
 ///              depends only on core/ and support/, so there is no cycle)
@@ -35,13 +37,15 @@
 ///              type-erased AnyBatch, per-format counters and bounds
 ///   abi/       the stable C ABI (dragon4_to_chars.h): hardened, locale-
 ///              and allocation-free C99 entry points over engine/ + parse/
-///   baselines/ Steele-White, straightforward fixed-format, printf shim
+///   baselines/ Steele-White, Grisu3, straightforward fixed-format, printf
+///              shim: bench competitors and differential oracles, not rungs
 ///   testgen/   Schryer-style and random workloads
 ///
 /// The pipeline shape, identical for every T:
 ///
 ///   bits --(fp: decompose/decomposeBig)--> DecomposedFloat
-///        --(core: digit loop; fastpath when certified)--> digits + K
+///        --(fastpath: Ryu when certified; else core: exact digit loop)-->
+///              digits + K
 ///        --(format/engine: one render core over one Sink concept)--> bytes
 ///
 //===----------------------------------------------------------------------===//
@@ -49,7 +53,9 @@
 #ifndef DRAGON4_DRAGON4_H
 #define DRAGON4_DRAGON4_H
 
+#include "baselines/diyfp.h"
 #include "baselines/fixed17.h"
+#include "baselines/grisu.h"
 #include "baselines/printf_shim.h"
 #include "baselines/steele_white.h"
 #include "bigint/bigint.h"
@@ -66,9 +72,7 @@
 #include "engine/scratch.h"
 #include "engine/stats.h"
 #include "engine/stream.h"
-#include "fastpath/diyfp.h"
 #include "fastpath/fixed_fast.h"
-#include "fastpath/grisu.h"
 #include "format/dtoa.h"
 #include "format/printf_compat.h"
 #include "format/render.h"

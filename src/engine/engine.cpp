@@ -12,19 +12,19 @@
 /// that back format/render.cpp, so engine::format(v) == toShortest(v)
 /// holds byte for byte for every instantiation.  The Ryu rung skips the
 /// reusable storage altogether: its decimal significand is rendered
-/// straight into the sink, and only the Grisu and exact rungs open a
+/// straight into the sink, and only the exact rung opens a
 /// ConversionScope.  formatInto is the one writer-generic body; format()
-/// (BufferSink), the StringTable batch path (format() per slot), and
-/// RecordStream::push (StreamSink) are its instantiations.
+/// (BufferSink), the StringTable batch path (format() per slot),
+/// RecordStream::push (StreamSink) and toShortest (StringSink) are its
+/// instantiations, and formatFixedInto plays the same role for
+/// formatFixed and toFixed.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "engine/engine.h"
 
-#include "core/fixed_format.h"
-#include "core/free_format.h"
-#include "fastpath/grisu.h"
 #include "fastpath/ryu.h"
+#include "format/option_maps.h"
 #include "format/render_core.h"
 #include "obs/trace.h"
 #include "prof/phase.h"
@@ -42,7 +42,6 @@ namespace dragon4::engine {
 /// Scratch; keeps the reusable buffers out of the public surface).
 struct ScratchAccess {
   static EngineStats &stats(Scratch &S) { return S.Stats; }
-  static std::vector<uint8_t> &fastDigits(Scratch &S) { return S.FastDigits; }
   static DigitLoopResult &loop(Scratch &S) { return S.Loop; }
   static DigitString &fixedDigits(Scratch &S) { return S.FixedDigits; }
 };
@@ -51,49 +50,21 @@ struct ScratchAccess {
 
 namespace {
 
-RenderOptions renderOptionsFrom(const PrintOptions &Options) {
-  RenderOptions Render;
-  Render.Base = Options.Base;
-  Render.ExponentMarker = Options.ExponentMarker;
-  Render.MarkChar = Options.Marks == MarkStyle::Hash ? '#' : '0';
-  Render.UppercaseDigits = Options.UppercaseDigits;
-  return Render;
-}
-
-FreeFormatOptions freeOptionsFrom(const PrintOptions &Options) {
-  FreeFormatOptions Free;
-  Free.Base = Options.Base;
-  Free.Boundaries = Options.Boundaries;
-  Free.Ties = Options.Ties;
-  Free.Scaling = Options.Scaling;
-  return Free;
-}
-
-FixedFormatOptions fixedOptionsFrom(const PrintOptions &Options) {
-  FixedFormatOptions Fixed;
-  Fixed.Base = Options.Base;
-  Fixed.Boundaries = Options.Boundaries;
-  Fixed.Ties = Options.Ties;
-  return Fixed;
-}
-
-/// The Grisu fast path models the conservative reader (boundaries
-/// excluded) with round-up ties.  That equals the requested semantics
-/// exactly when the options ask for Conservative, or for NearestEven on a
-/// value with an odd mantissa -- an odd mantissa can never sit on an
-/// inclusive boundary, so NearestEven and Conservative flags coincide.
-bool fastPathEligible(const PrintOptions &Options, bool OddMantissa) {
-  if (Options.Base != 10 || Options.Ties != TieBreak::RoundUp)
-    return false;
-  if (Options.Boundaries == BoundaryMode::Conservative)
-    return true;
-  return Options.Boundaries == BoundaryMode::NearestEven && OddMantissa;
-}
-
 void recordSlowDigits(EngineStats &Stats, size_t NumDigits) {
   constexpr size_t Last = EngineStats::DigitBuckets - 1;
   size_t Bucket = NumDigits < Last ? NumDigits : Last;
   ++Stats.SlowDigitLength[Bucket];
+}
+
+/// Closes out one call that started at sink position \p Start: counts
+/// truncation (bounded sinks only -- an unbounded sink never overflows)
+/// and returns this call's length.  A StreamSink arrives mid-stream, so
+/// every length is relative to the call's first byte.
+template <Sink W>
+size_t finishCall(const W &Out, size_t Start, EngineStats &Stats) {
+  if (sinkOverflowed(Out))
+    ++Stats.Truncated;
+  return Out.written() - Start;
 }
 
 /// Writes NaN / infinity / zero, or returns false for finite non-zero
@@ -187,23 +158,13 @@ size_t shortestInto(T Value, const PrintOptions &Options, Scratch &S, W &Out,
   using Traits = IeeeTraits<T>;
   using Format = FormatTraits<T>;
   EngineStats &Stats = ScratchAccess::stats(S);
-  // A StreamSink arrives mid-stream; everything below reports lengths
-  // relative to this call's first byte.
   const size_t Start = Out.written();
-  // Closes out one call: counts truncation (bounded sinks only -- an
-  // unbounded sink never overflows) and returns this call's length.
-  auto Finish = [&]() -> size_t {
-    if (sinkOverflowed(Out))
-      ++Stats.Truncated;
-    return Out.written() - Start;
-  };
-
   bool Negative = false;
   {
     D4_PROF_SPAN(Decompose);
     if (putSpecial(Out, Value, Stats, [&Out] { Out.put('0'); })) {
       PathKind = obs::Path::Special;
-      return Finish();
+      return finishCall(Out, Start, Stats);
     }
     Negative = signBit(Value);
   }
@@ -212,49 +173,13 @@ size_t shortestInto(T Value, const PrintOptions &Options, Scratch &S, W &Out,
 
   std::span<const uint8_t> Digits;
   int K = 0;
-  // The Grisu3 and exact rungs, which produce a digit string.  Callers
-  // hold a ConversionScope: every BigInt limb they touch comes from the
-  // Scratch arena, rewound when the scope closes.  The digits themselves
-  // land in plain vectors that outlive the scope.
-  auto DigitStringRungs = [&](const auto &D, bool OddMantissa) {
-    const bool OptionsAllowFast = fastPathEligible(Options, OddMantissa);
-    // Only Grisu-certified formats (binary32/64) may enter the Grisu rung;
-    // the rest are counted as format-ineligible below rather than silently
-    // special-cased.  The FastPath phase span lives inside the converter.
-    bool FastOk = false;
-    if constexpr (Format::FastPathCertified) {
-      if (OptionsAllowFast)
-        FastOk = grisuShortestInto(D.F, D.E, Traits::Precision,
-                                   Traits::MinExponent,
-                                   ScratchAccess::fastDigits(S), K);
-    }
-    if (FastOk) {
-      ++Stats.FastPathHits;
-      Digits = ScratchAccess::fastDigits(S);
-      PathKind = obs::Path::FastPath;
-      if (auto *Trace = obs::activeTrace()) {
-        // The fast path bypasses the digit loop's trace point.
-        Trace->DigitsEmitted = static_cast<uint32_t>(Digits.size());
-        Trace->FinalK = K;
-      }
-      return;
-    }
-    if (Format::FastPathCertified && OptionsAllowFast) {
-      ++Stats.FastPathFails;
-      PathKind = obs::Path::SlowFallback;
-      if (auto *Trace = obs::activeTrace())
-        Trace->FastFail = 1; // Attempted but uncertified.
-    } else {
-      ++Stats.SlowPathDirect;
-      // The format-ineligible dimension is option-independent: for an
-      // uncertified format no option setting could reach the fast path,
-      // so every slow-direct conversion is counted.
-      if (!Format::FastPathCertified)
-        ++Stats.FastPathIneligibleFormat;
-      PathKind = obs::Path::SlowDirect;
-      if (auto *Trace = obs::activeTrace())
-        Trace->FastFail = 2; // Ineligible for the fast path.
-    }
+  // The exact rung, which produces a digit string.  Callers hold a
+  // ConversionScope: every BigInt limb it touches comes from the Scratch
+  // arena, rewound when the scope closes.  The digits themselves land in
+  // the Scratch's loop result, whose storage outlives the scope.
+  auto ExactLoop = [&](const auto &D) {
+    ++Stats.SlowPathDirect;
+    PathKind = obs::Path::SlowDirect;
     DigitLoopResult &Loop = ScratchAccess::loop(S);
     if constexpr (Format::WideMantissa)
       K = freeFormatDigitsBigInto(D.F, D.E, Traits::Precision,
@@ -277,23 +202,23 @@ size_t shortestInto(T Value, const PrintOptions &Options, Scratch &S, W &Out,
       D4_PROF_SPAN(Decompose);
       D = decomposeBig(Value);
     }
-    DigitStringRungs(D, D.F.testBit(0));
+    ExactLoop(D);
   } else {
     Decomposed D;
     {
       D4_PROF_SPAN(Decompose);
       D = decompose(Value);
     }
-    const bool OddMantissa = (D.F & 1) != 0;
-    // The fallback ladder: Ryu -> Grisu3 -> exact loop.  Ryu is the front
-    // line for every certified narrow format (binary16/32/64) and any
-    // symmetric reader model, and renders straight from its decimal
-    // significand: no digit vector, no arena.  Its only failures are
-    // defensive range checks, counted as RyuFallbacks.  The RyuPath span
-    // lives inside the converter itself.
+    // The ladder: Ryu -> exact loop.  Ryu is the front line for every
+    // certified narrow format (binary16/32/64) and any symmetric reader
+    // model, and renders straight from its decimal significand: no digit
+    // vector, no arena.  Its only failures are defensive range checks,
+    // counted as RyuFallbacks; those conversions, like every one Ryu does
+    // not model, run the exact loop.  The RyuPath span lives inside the
+    // converter itself.
     if constexpr (Format::RyuCertified) {
       bool AcceptBounds = false;
-      if (ryuEligible(Options.Base, Options.Boundaries, !OddMantissa,
+      if (ryuEligible(Options.Base, Options.Boundaries, (D.F & 1) == 0,
                       AcceptBounds)) {
         uint64_t Significand = 0;
         int Length = 0;
@@ -311,13 +236,13 @@ size_t shortestInto(T Value, const PrintOptions &Options, Scratch &S, W &Out,
           render_detail::renderDecimalAutoInto<maxShortestBufferSize<T>(10)>(
               Out, Significand, Length, K, Negative,
               renderOptionsFrom(Options));
-          return Finish();
+          return finishCall(Out, Start, Stats);
         }
         ++Stats.RyuFallbacks;
       }
     }
     ConversionScope Scope(S);
-    DigitStringRungs(D, OddMantissa);
+    ExactLoop(D);
   }
 
   {
@@ -326,21 +251,17 @@ size_t shortestInto(T Value, const PrintOptions &Options, Scratch &S, W &Out,
                                   Negative, renderOptionsFrom(Options));
   }
   S.syncArenaStats();
-  return Finish();
+  return finishCall(Out, Start, Stats);
 }
 
-/// The fixed-format conversion behind formatFixed, run inside
-/// observeConversion's frame.  Returns the full (required) length.
-template <typename T>
+/// The fixed-format conversion behind formatFixedInto, run inside
+/// observeConversion's frame.  Returns the length of this call's output.
+template <typename T, Sink W>
 size_t fixedInto(T Value, int FractionDigits, const PrintOptions &Options,
-                 Scratch &S, BufferSink &Out, obs::Path &PathKind) {
+                 Scratch &S, W &Out, obs::Path &PathKind) {
   using Format = FormatTraits<T>;
   EngineStats &Stats = ScratchAccess::stats(S);
-  auto Finish = [&]() -> size_t {
-    if (Out.overflowed())
-      ++Stats.Truncated;
-    return Out.required();
-  };
+  const size_t Start = Out.written();
 
   if (putSpecial(Out, Value, Stats, [&] {
         Out.put('0');
@@ -350,7 +271,7 @@ size_t fixedInto(T Value, int FractionDigits, const PrintOptions &Options,
         }
       })) {
     PathKind = obs::Path::Special;
-    return Finish();
+    return finishCall(Out, Start, Stats);
   }
   PathKind = obs::Path::Fixed;
 
@@ -373,7 +294,7 @@ size_t fixedInto(T Value, int FractionDigits, const PrintOptions &Options,
                                         renderOptionsFrom(Options));
   }
   S.syncArenaStats();
-  return Finish();
+  return finishCall(Out, Start, Stats);
 }
 
 } // namespace
@@ -393,15 +314,22 @@ size_t dragon4::engine::format(T Value, char *Buffer, size_t BufferSize,
   return formatInto(Value, Options, S, Out);
 }
 
+template <typename T, typename W>
+size_t dragon4::engine::formatFixedInto(T Value, int FractionDigits,
+                                        const PrintOptions &Options,
+                                        Scratch &S, W &Out) {
+  D4_ASSERT(FractionDigits >= 0, "negative fraction-digit count");
+  return observeConversion(Value, Options, S, Out, [&](obs::Path &PathKind) {
+    return fixedInto(Value, FractionDigits, Options, S, Out, PathKind);
+  });
+}
+
 template <typename T>
 size_t dragon4::engine::formatFixed(T Value, int FractionDigits, char *Buffer,
                                     size_t BufferSize,
                                     const PrintOptions &Options, Scratch &S) {
-  D4_ASSERT(FractionDigits >= 0, "negative fraction-digit count");
   BufferSink Out(Buffer, BufferSize);
-  return observeConversion(Value, Options, S, Out, [&](obs::Path &PathKind) {
-    return fixedInto(Value, FractionDigits, Options, S, Out, PathKind);
-  });
+  return formatFixedInto(Value, FractionDigits, Options, S, Out);
 }
 
 namespace dragon4::engine {
@@ -432,6 +360,36 @@ template size_t formatInto<long double, StreamSink>(long double,
 template size_t formatInto<Binary128, StreamSink>(Binary128,
                                                   const PrintOptions &,
                                                   Scratch &, StreamSink &);
+template size_t formatInto<Binary16, StringSink>(Binary16,
+                                                 const PrintOptions &,
+                                                 Scratch &, StringSink &);
+template size_t formatInto<float, StringSink>(float, const PrintOptions &,
+                                              Scratch &, StringSink &);
+template size_t formatInto<double, StringSink>(double, const PrintOptions &,
+                                               Scratch &, StringSink &);
+template size_t formatInto<long double, StringSink>(long double,
+                                                    const PrintOptions &,
+                                                    Scratch &, StringSink &);
+template size_t formatInto<Binary128, StringSink>(Binary128,
+                                                  const PrintOptions &,
+                                                  Scratch &, StringSink &);
+template size_t formatFixedInto<Binary16, StringSink>(Binary16, int,
+                                                      const PrintOptions &,
+                                                      Scratch &, StringSink &);
+template size_t formatFixedInto<float, StringSink>(float, int,
+                                                   const PrintOptions &,
+                                                   Scratch &, StringSink &);
+template size_t formatFixedInto<double, StringSink>(double, int,
+                                                    const PrintOptions &,
+                                                    Scratch &, StringSink &);
+template size_t formatFixedInto<long double, StringSink>(long double, int,
+                                                         const PrintOptions &,
+                                                         Scratch &,
+                                                         StringSink &);
+template size_t formatFixedInto<Binary128, StringSink>(Binary128, int,
+                                                       const PrintOptions &,
+                                                       Scratch &,
+                                                       StringSink &);
 
 template size_t format<Binary16>(Binary16, char *, size_t,
                                  const PrintOptions &, Scratch &);

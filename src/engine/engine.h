@@ -9,17 +9,17 @@
 /// bypasses std::string entirely.  Where toShortest() heap-allocates a
 /// string and fresh BigInt state per call, engine::format() writes into a
 /// caller-provided buffer and draws every intermediate from a reusable
-/// Scratch -- Grisu digits, loop state, and BigInt limbs all come from
-/// warm storage, so a warmed-up conversion performs zero heap allocations
-/// even when it falls back to the exact BigInt path.
+/// Scratch -- loop state, digits, and BigInt limbs all come from warm
+/// storage, so a warmed-up conversion performs zero heap allocations even
+/// when it falls back to the exact BigInt path.
 ///
 /// The API is format-generic: one template pipeline, explicitly
 /// instantiated for all five supported formats (Binary16, float, double,
 /// long double / x87 extended80, Binary128).  Formats whose significand
-/// exceeds 64 bits take the BigInt-mantissa path; the Grisu fast path is
-/// taken only for formats whose cached-power table is certified
-/// (FormatTraits<T>::FastPathCertified -- binary32/64 today), the rest are
-/// counted as fast-path-ineligible rather than silently special-cased.
+/// exceeds 64 bits take the BigInt-mantissa path; the Ryu front line is
+/// taken only for formats whose cached-power range and exactness analysis
+/// are certified (FormatTraits<T>::RyuCertified -- binary16/32/64), and
+/// everything it does not model runs the exact loop.
 ///
 /// Truncation semantics (snprintf-like, minus the NUL): format() always
 /// returns the full length the rendering requires and writes at most
@@ -51,9 +51,27 @@ namespace dragon4::engine {
 /// past the capacity are dropped by the sink, never by the engine).  The
 /// public surfaces are instantiations of this one template: format() is
 /// formatInto over a BufferSink, RecordStream::push is formatInto over a
-/// StreamSink, and the StringTable batch path is format() per slot.
+/// StreamSink, toShortest is formatInto over a StringSink, and the
+/// StringTable batch path is format() per slot.
 template <typename T, typename W>
 size_t formatInto(T Value, const PrintOptions &Options, Scratch &S, W &Out);
+
+/// The writer-generic fixed conversion: renders \p Value with exactly
+/// \p FractionDigits positions after the radix point into any Sink and
+/// returns the characters this call wrote.  formatFixed() is
+/// formatFixedInto over a BufferSink, toFixed over a StringSink.
+template <typename T, typename W>
+size_t formatFixedInto(T Value, int FractionDigits,
+                       const PrintOptions &Options, Scratch &S, W &Out);
+
+/// The calling thread's default workspace: one lazily constructed Scratch
+/// per thread, which is what makes the string API (toShortest/toFixed)
+/// and the C ABI's plain entry points reentrant across threads with no
+/// locking and no caller bookkeeping.
+inline Scratch &threadScratch() {
+  thread_local Scratch S;
+  return S;
+}
 
 /// Shortest round-tripping rendering of \p Value (the buffer counterpart
 /// of toShortest): writes up to \p BufferSize bytes at \p Buffer and
@@ -75,60 +93,11 @@ template <typename T>
 size_t formatFixed(T Value, int FractionDigits, char *Buffer,
                    size_t BufferSize, const PrintOptions &Options, Scratch &S);
 
-extern template size_t format<Binary16>(Binary16, char *, size_t,
-                                        const PrintOptions &, Scratch &);
-extern template size_t format<float>(float, char *, size_t,
-                                     const PrintOptions &, Scratch &);
-extern template size_t format<double>(double, char *, size_t,
-                                      const PrintOptions &, Scratch &);
-extern template size_t format<long double>(long double, char *, size_t,
-                                           const PrintOptions &, Scratch &);
-extern template size_t format<Binary128>(Binary128, char *, size_t,
-                                         const PrintOptions &, Scratch &);
-extern template size_t formatFixed<Binary16>(Binary16, int, char *, size_t,
-                                             const PrintOptions &, Scratch &);
-extern template size_t formatFixed<float>(float, int, char *, size_t,
-                                          const PrintOptions &, Scratch &);
-extern template size_t formatFixed<double>(double, int, char *, size_t,
-                                           const PrintOptions &, Scratch &);
-extern template size_t formatFixed<long double>(long double, int, char *,
-                                                size_t, const PrintOptions &,
-                                                Scratch &);
-extern template size_t formatFixed<Binary128>(Binary128, int, char *, size_t,
-                                              const PrintOptions &, Scratch &);
-
-extern template size_t formatInto<Binary16, BufferSink>(Binary16,
-                                                        const PrintOptions &,
-                                                        Scratch &, BufferSink &);
-extern template size_t formatInto<float, BufferSink>(float,
-                                                     const PrintOptions &,
-                                                     Scratch &, BufferSink &);
-extern template size_t formatInto<double, BufferSink>(double,
-                                                      const PrintOptions &,
-                                                      Scratch &, BufferSink &);
-extern template size_t
-formatInto<long double, BufferSink>(long double, const PrintOptions &,
-                                    Scratch &, BufferSink &);
-extern template size_t formatInto<Binary128, BufferSink>(Binary128,
-                                                         const PrintOptions &,
-                                                         Scratch &,
-                                                         BufferSink &);
-extern template size_t formatInto<Binary16, StreamSink>(Binary16,
-                                                        const PrintOptions &,
-                                                        Scratch &, StreamSink &);
-extern template size_t formatInto<float, StreamSink>(float,
-                                                     const PrintOptions &,
-                                                     Scratch &, StreamSink &);
-extern template size_t formatInto<double, StreamSink>(double,
-                                                      const PrintOptions &,
-                                                      Scratch &, StreamSink &);
-extern template size_t
-formatInto<long double, StreamSink>(long double, const PrintOptions &,
-                                    Scratch &, StreamSink &);
-extern template size_t formatInto<Binary128, StreamSink>(Binary128,
-                                                         const PrintOptions &,
-                                                         Scratch &,
-                                                         StreamSink &);
+// The templates above are defined, and explicitly instantiated for the
+// five formats, in engine.cpp: format and formatFixed; formatInto over
+// BufferSink, StreamSink and StringSink; formatFixedInto over
+// StringSink.  No definition is visible here, so callers link against
+// those instantiations.
 
 namespace engine_detail {
 

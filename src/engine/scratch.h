@@ -7,7 +7,7 @@
 /// \file
 /// The engine's reusable workspace: a limb arena for every BigInt the
 /// conversion core touches, the digit-loop result whose digit storage is
-/// recycled across calls, a digit buffer for the Grisu fast path, and the
+/// recycled across calls, the fixed path's positional result, and the
 /// per-thread counters block.  One Scratch belongs to one thread at a time;
 /// engine::format installs its arena for the duration of a conversion and
 /// rewinds it afterwards, so after a warm-up call conversions perform zero
@@ -94,7 +94,6 @@ private:
 
   LimbArena Arena;               ///< Backing store for all conversion BigInts.
   DigitLoopResult Loop;          ///< Slow-path loop state, storage recycled.
-  std::vector<uint8_t> FastDigits; ///< Grisu digit buffer, recycled.
   DigitString FixedDigits;       ///< Fixed-path positional result, recycled.
   EngineStats Stats;
   obs::ObsState Obs;               ///< Sampled-metrics shard + flight ring.

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The counters block the conversion engine maintains: fast-path hit and
+/// The counters block the conversion engine maintains: Ryu hit and
 /// fallback counts, a digit-length histogram for conversions that took the
 /// slow (BigInt) path, arena sizing, and batch timing.  Counters are plain
 /// (non-atomic) -- each Scratch owns its own block and the batch layer
@@ -39,19 +39,11 @@ struct EngineStats {
   uint64_t Specials = 0;       ///< NaN / infinity / zero renderings.
   uint64_t RyuHits = 0;        ///< Ryu produced the result (front line).
   uint64_t RyuFallbacks = 0;   ///< Ryu eligible but out of certified range.
-  uint64_t FastPathHits = 0;   ///< Grisu certified the result.
-  uint64_t FastPathFails = 0;  ///< Grisu attempted but could not certify.
-  uint64_t SlowPathDirect = 0; ///< Fast path not eligible (base/options/fmt).
+  uint64_t SlowPathDirect = 0; ///< The exact loop ran (incl. fixed format).
   uint64_t Truncated = 0;      ///< Outputs that did not fit the buffer.
 
   /// Conversions per format (indexed by FormatId); sums to Conversions.
   uint64_t FormatConversions[NumFormatIds] = {};
-
-  /// Subset of SlowPathDirect whose format has no certified cached-power
-  /// table (binary16/extended80/binary128 today), so no option setting
-  /// could have reached the fast path.  The honest counterpart of a Grisu
-  /// table that only covers binary32/64.
-  uint64_t FastPathIneligibleFormat = 0;
 
   /// Digit-count histogram of conversions that ran the exact BigInt loop.
   uint64_t SlowDigitLength[DigitBuckets] = {};
@@ -76,8 +68,9 @@ struct EngineStats {
   uint64_t FastParseFallbacks = 0;
   uint64_t FastParseRejected = 0;
 
-  /// Conversions that ran the exact loop (fallbacks plus ineligibles).
-  uint64_t slowPathRuns() const { return FastPathFails + SlowPathDirect; }
+  /// Conversions that ran the exact loop: everything Ryu did not serve,
+  /// Ryu fallbacks included.
+  uint64_t slowPathRuns() const { return SlowPathDirect; }
 
   /// Adds \p RHS into this block.  High-water marks take the max; counts
   /// add.
@@ -86,13 +79,10 @@ struct EngineStats {
     Specials += RHS.Specials;
     RyuHits += RHS.RyuHits;
     RyuFallbacks += RHS.RyuFallbacks;
-    FastPathHits += RHS.FastPathHits;
-    FastPathFails += RHS.FastPathFails;
     SlowPathDirect += RHS.SlowPathDirect;
     Truncated += RHS.Truncated;
     for (int I = 0; I < NumFormatIds; ++I)
       FormatConversions[I] += RHS.FormatConversions[I];
-    FastPathIneligibleFormat += RHS.FastPathIneligibleFormat;
     for (int I = 0; I < DigitBuckets; ++I)
       SlowDigitLength[I] += RHS.SlowDigitLength[I];
     if (RHS.ArenaHighWaterBytes > ArenaHighWaterBytes)

@@ -7,7 +7,7 @@
 #include "fastpath/fixed_fast.h"
 
 #include "core/scaling.h"
-#include "fastpath/diyfp.h"
+#include "baselines/diyfp.h"
 #include "fp/ieee_traits.h"
 #include "support/checks.h"
 

@@ -23,7 +23,6 @@
 
 #include "fastpath/ryu.h"
 
-#include "fastpath/grisu.h"
 #include "fastpath/ryu_pow5.h"
 #include "format/render_core.h"
 #include "prof/phase.h"
@@ -146,12 +145,12 @@ bool dragon4::ryuShortestDecimal(uint64_t F, int E, int Precision,
       // Multiply by the 128-bit reciprocal of 5^q.  The entry is
       // ceil(2^(pow5bits(q) + 127) / 5^q); with j chosen below the
       // mulShift floor equals floor(x * 2^e2 / 10^q) exactly.
-      if (-Q < RyuSmallestPowerOfFive)
+      if (-Q < parse::SmallestPowerOfFive)
         return false;
       const int J = -E2 + Q + ryuPow5Bits(Q) + 127;
       if (J <= 64 || J >= 128)
         return false;
-      const Pow5Entry &Inv = ryuPow5Entry(-Q);
+      const Pow5Entry &Inv = pow5Entry(-Q);
       Vr = mulShift(Mv, Inv, J);
       Vp = mulShift(Mv + 2, Inv, J);
       Vm = mulShift(Mv - 1 - MmShift, Inv, J);
@@ -173,14 +172,14 @@ bool dragon4::ryuShortestDecimal(uint64_t F, int E, int Precision,
     const int Q = log10Pow5(-E2) - (-E2 > 1);
     E10 = Q + E2;
     const int I = -E2 - Q;
-    if (I > RyuLargestPowerOfFive)
+    if (I > parse::LargestPowerOfFive)
       return false;
     // Entry is the truncated (or, below 128 bits, exact) top 128 bits of
     // 5^i; with this j the mulShift floor equals floor(x * 5^i / 2^q).
     const int J = Q - (ryuPow5Bits(I) - 128);
     if (J <= 64 || J >= 128)
       return false;
-    const Pow5Entry &Pow = ryuPow5Entry(I);
+    const Pow5Entry &Pow = pow5Entry(I);
     Vr = mulShift(Mv, Pow, J);
     Vp = mulShift(Mv + 2, Pow, J);
     Vm = mulShift(Mv - 1 - MmShift, Pow, J);
@@ -285,42 +284,3 @@ bool dragon4::ryuShortestInto(uint64_t F, int E, int Precision,
   render_detail::storeDecimalDigits(Output, Length, Digits);
   return true;
 }
-
-namespace dragon4 {
-
-template <typename T>
-DigitString shortestDigitsLadder(T Value, const FreeFormatOptions &Options) {
-  using Traits = IeeeTraits<T>;
-  if constexpr (FormatTraits<T>::RyuCertified) {
-    Decomposed D = decompose(Value);
-    bool AcceptBounds = false;
-    if (ryuEligible(Options.Base, Options.Boundaries, (D.F & 1) == 0,
-                    AcceptBounds)) {
-      DigitString Out;
-      if (ryuShortestInto(D.F, D.E, Traits::Precision, Traits::MinExponent,
-                          AcceptBounds, Options.Ties, Out.Digits, Out.K))
-        return Out;
-    }
-    // Grisu3 rung: its conservative round-up model, where it applies.
-    if (Options.Base == 10 && Options.Ties == TieBreak::RoundUp &&
-        (Options.Boundaries == BoundaryMode::Conservative ||
-         (Options.Boundaries == BoundaryMode::NearestEven && (D.F & 1)))) {
-      if constexpr (FormatTraits<T>::FastPathCertified) {
-        DigitString Out;
-        if (grisuShortestInto(D.F, D.E, Traits::Precision,
-                              Traits::MinExponent, Out.Digits, Out.K))
-          return Out;
-      }
-    }
-  }
-  return shortestDigits(Value, Options);
-}
-
-template DigitString shortestDigitsLadder<Binary16>(Binary16,
-                                                    const FreeFormatOptions &);
-template DigitString shortestDigitsLadder<float>(float,
-                                                 const FreeFormatOptions &);
-template DigitString shortestDigitsLadder<double>(double,
-                                                  const FreeFormatOptions &);
-
-} // namespace dragon4

@@ -7,17 +7,17 @@
 /// \file
 /// A Ryu-style shortest-form converter after Adams, "Ryu: fast
 /// float-to-string conversion" (PLDI 2018) -- the front line of the
-/// library's fallback ladder, ahead of Grisu3 and the exact Burger-Dybvig
-/// loop.  Where Grisu3 runs an error analysis and *fails* on ~0.5% of
-/// inputs, Ryu computes the exact scaled interval (v-, v, v+) with one
-/// 128-bit cached power of five per conversion and tracks exactness
-/// explicitly, so it never needs to give up for in-range inputs: the only
-/// fallbacks are defensive range checks.
+/// library's shortest-output ladder, ahead of the exact Burger-Dybvig
+/// loop.  Where Grisu3 (baselines/grisu.h) runs an error analysis and
+/// *fails* on ~0.5% of inputs, Ryu computes the exact scaled interval
+/// (v-, v, v+) with one 128-bit cached power of five per conversion and
+/// tracks exactness explicitly, so it never needs to give up for in-range
+/// inputs: the only fallbacks are defensive range checks.
 ///
 /// Faithful to this repository's spirit, the cached powers are not magic
-/// constants: ryu_pow5.h builds them at compile time with the same
-/// constexpr bignum evaluator as the parse table, and they are asserted
-/// bit for bit against the runtime BigInt stack.
+/// constants: they are the entries of the one compile-time table the
+/// parser also uses (parse/pow5_table.h), asserted bit for bit against
+/// the runtime BigInt stack.
 ///
 /// Unlike Grisu (hard-wired to the conservative reader with round-up
 /// ties), this implementation models every symmetric boundary semantics:
@@ -31,11 +31,7 @@
 #ifndef DRAGON4_FASTPATH_RYU_H
 #define DRAGON4_FASTPATH_RYU_H
 
-#include "core/digits.h"
-#include "core/free_format.h"
 #include "core/options.h"
-#include "fp/format_traits.h"
-#include "fp/ieee_traits.h"
 
 #include <cstdint>
 #include <vector>
@@ -65,7 +61,7 @@ inline bool ryuEligible(unsigned Base, BoundaryMode Boundaries,
 /// to n (its exact digit count, at most 17), and \p K so that
 /// v = 0.d1...dn * 10^K, and returns true.  Returns false only when a
 /// defensive certification check fails (precision or cached-power range
-/// exceeded); the caller must then fall back to Grisu3/Dragon4.  Touches
+/// exceeded); the caller must then fall back to the exact loop.  Touches
 /// no memory besides its outputs, so the caller can render the digits
 /// straight from \p Output (render_detail::renderDecimalAutoInto).
 bool ryuShortestDecimal(uint64_t F, int E, int Precision, int MinExponent,
@@ -74,24 +70,11 @@ bool ryuShortestDecimal(uint64_t F, int E, int Precision, int MinExponent,
 
 /// ryuShortestDecimal with the digits stored one per element in \p Digits
 /// (cleared first, capacity reused across calls, so a warm vector
-/// allocates nothing): the DigitString form shortestDigitsLadder returns.
+/// allocates nothing): the DigitString form the differential tests and
+/// the digit-layer benches compare against the exact loop.
 bool ryuShortestInto(uint64_t F, int E, int Precision, int MinExponent,
                      bool AcceptBounds, TieBreak Ties,
                      std::vector<uint8_t> &Digits, int &K);
-
-/// Shortest base-10 digits of \p Value through the full fallback ladder:
-/// Ryu where the semantics are symmetric, Grisu3 where its conservative
-/// round-up model applies, the exact Burger-Dybvig loop otherwise.
-/// Result is always identical to shortestDigits(Value, Options).
-template <typename T>
-DigitString shortestDigitsLadder(T Value, const FreeFormatOptions &Options);
-
-extern template DigitString shortestDigitsLadder<Binary16>(
-    Binary16, const FreeFormatOptions &);
-extern template DigitString shortestDigitsLadder<float>(
-    float, const FreeFormatOptions &);
-extern template DigitString shortestDigitsLadder<double>(
-    double, const FreeFormatOptions &);
 
 } // namespace dragon4
 

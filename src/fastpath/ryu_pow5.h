@@ -7,27 +7,14 @@
 /// \file
 /// The cached 128-bit powers of five the Ryu shortest-form converter
 /// multiplies by (Adams, "Ryu: fast float-to-string conversion", PLDI
-/// 2018).  Same entry semantics as the Eisel-Lemire parse table
-/// (parse/pow5_table.h), whose constexpr bignum evaluator this header
-/// reuses:
+/// 2018) are the entries of the library's one compile-time table,
+/// parse/pow5_table.h, which spans [-342, 342] for exactly this reason:
+/// Ryu's POW5_SPLIT is the q >= 0 half and its POW5_INV_SPLIT the q < 0
+/// half.  128-bit entries exceed the 125/124 bits Ryu's correctness
+/// theorem requires for binary64, so the mulShift floors in ryu.cpp are
+/// exact for every certified format.
 ///
-///   q >= 0  truncation: the top 128 bits of the exact integer 5^q,
-///           normalized so bit 127 is set (values shorter than 128 bits
-///           are shifted up exactly).  Ryu's POW5_SPLIT, at 128 bits.
-///   q <  0  reciprocal: ceil(2^(bitlen(5^-q) + 127) / 5^-q), also
-///           normalized.  Ryu's POW5_INV_SPLIT, at 128 bits.
-///
-/// The range differs from the parse table: printing a subnormal binary64
-/// needs 5^i up to i = 325 (beyond the parser's 308), and the inverse
-/// side reaches only ~-291, so this table spans the symmetric [-342,
-/// 342].  128-bit entries exceed the 125/124 bits Ryu's correctness
-/// theorem requires for binary64, so the mulShift floors below are exact
-/// for every certified format.
-///
-/// Like the parse table this is built entirely at compile time -- no
-/// initialization order, no locks, no heap -- and cross-checked bit for
-/// bit against the runtime BigInt cachedPow stack by
-/// tests/fastpath/ryu_pow5_test.cpp.
+/// What remains Ryu-specific is the exponent arithmetic over that table.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,73 +23,23 @@
 
 #include "parse/pow5_table.h"
 
-#include <array>
-#include <cstddef>
 #include <cstdint>
 
 namespace dragon4::fastpath {
 
 using parse::Pow5Entry;
-
-/// Table bounds.  The positive side must reach -MinExponent scaled by
-/// log5(2) (325 for binary64's e2 = -1076); the negative side mirrors the
-/// parser's proven -342.  Symmetric for simplicity.
-inline constexpr int RyuSmallestPowerOfFive = -342;
-inline constexpr int RyuLargestPowerOfFive = 342;
-inline constexpr int RyuPow5TableSize =
-    RyuLargestPowerOfFive - RyuSmallestPowerOfFive + 1;
-
-namespace ryu_pow5_detail {
-
-/// Same evaluator as the parse table, over the wider Ryu range.  BigNat's
-/// 16 limbs hold 5^342 (795 bits) with room to spare.
-constexpr std::array<Pow5Entry, RyuPow5TableSize> makeRyuTable() {
-  using namespace parse::pow5_detail;
-  std::array<Pow5Entry, RyuPow5TableSize> Table{};
-  BigNat P{}; // 5^Q for the ascending non-negative exponents.
-  P.Limb[0] = 1;
-  for (int Q = 0; Q <= RyuLargestPowerOfFive; ++Q) {
-    Table[static_cast<size_t>(Q - RyuSmallestPowerOfFive)] = topBits128(P);
-    mulSmall(P, 5);
-  }
-  BigNat D{}; // 5^-Q for the descending negative exponents.
-  D.Limb[0] = 5;
-  for (int Q = -1; Q >= RyuSmallestPowerOfFive; --Q) {
-    Table[static_cast<size_t>(Q - RyuSmallestPowerOfFive)] = reciprocal128(D);
-    mulSmall(D, 5);
-  }
-  return Table;
-}
-
-} // namespace ryu_pow5_detail
-
-inline constexpr std::array<Pow5Entry, RyuPow5TableSize> RyuPow5Table =
-    ryu_pow5_detail::makeRyuTable();
-
-/// Entry for decimal exponent \p Q; Q must lie in
-/// [RyuSmallestPowerOfFive, RyuLargestPowerOfFive].
-constexpr const Pow5Entry &ryuPow5Entry(int Q) {
-  return RyuPow5Table[static_cast<size_t>(Q - RyuSmallestPowerOfFive)];
-}
+using parse::pow5Entry;
 
 /// bitlen(5^E): the number of bits in the exact power.  Ryu's pow5bits;
 /// the magic fraction overestimates log2(5) by < 2^-19, exact for
-/// E <= 3528.
+/// E <= 3528.  Full-range agreement with the BigInt stack is asserted in
+/// tests/fastpath/ryu_pow5_test.cpp.
 constexpr int ryuPow5Bits(int E) {
   return static_cast<int>(
              (static_cast<uint32_t>(E) * uint32_t(1217359)) >> 19) +
          1;
 }
 
-// Spot anchors; full-range agreement with the BigInt stack (and with the
-// parse table over the shared range) is asserted in
-// tests/fastpath/ryu_pow5_test.cpp.
-static_assert(ryuPow5Entry(0).Hi == 0x8000000000000000 &&
-              ryuPow5Entry(0).Lo == 0);
-static_assert(ryuPow5Entry(1).Hi == 0xa000000000000000 &&
-              ryuPow5Entry(1).Lo == 0);
-static_assert(ryuPow5Entry(-1).Hi == 0xcccccccccccccccc &&
-              ryuPow5Entry(-1).Lo == 0xcccccccccccccccd);
 static_assert(ryuPow5Bits(0) == 1 && ryuPow5Bits(1) == 3 &&
               ryuPow5Bits(325) == 755);
 

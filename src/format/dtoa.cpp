@@ -6,24 +6,13 @@
 
 #include "format/dtoa.h"
 
-#include "core/fixed_format.h"
-#include "core/free_format.h"
-#include "fastpath/ryu.h"
-#include "format/render.h"
+#include "engine/engine.h"
+#include "format/option_maps.h"
 #include "support/checks.h"
 
 using namespace dragon4;
 
 namespace {
-
-RenderOptions renderOptionsFrom(const PrintOptions &Options) {
-  RenderOptions Render;
-  Render.Base = Options.Base;
-  Render.ExponentMarker = Options.ExponentMarker;
-  Render.MarkChar = Options.Marks == MarkStyle::Hash ? '#' : '0';
-  Render.UppercaseDigits = Options.UppercaseDigits;
-  return Render;
-}
 
 /// Handles NaN / infinity / zero.  Returns true (with Out filled in) when
 /// \p Value was special.  ZeroText is format-specific ("0", "0.00", ...).
@@ -46,58 +35,25 @@ bool renderSpecial(T Value, const std::string &ZeroText, std::string &Out) {
   return false;
 }
 
-FreeFormatOptions freeOptionsFrom(const PrintOptions &Options) {
-  FreeFormatOptions Free;
-  Free.Base = Options.Base;
-  Free.Boundaries = Options.Boundaries;
-  Free.Ties = Options.Ties;
-  Free.Scaling = Options.Scaling;
-  return Free;
-}
-
-FixedFormatOptions fixedOptionsFrom(const PrintOptions &Options) {
-  FixedFormatOptions Fixed;
-  Fixed.Base = Options.Base;
-  Fixed.Boundaries = Options.Boundaries;
-  Fixed.Ties = Options.Ties;
-  return Fixed;
-}
-
 } // namespace
 
+// toShortest and toFixed are the engine's conversions over a StringSink,
+// on the calling thread's Scratch: one ladder, one set of bytes, for the
+// string, buffer, stream, batch and C surfaces alike.
 template <typename T>
 std::string dragon4::toShortest(T Value, const PrintOptions &Options) {
-  std::string Special;
-  if (renderSpecial(Value, "0", Special))
-    return Special;
-  // The same Ryu -> Grisu3 -> exact ladder as engine::format, so the two
-  // APIs stay byte-identical with the fast paths in front.
-  DigitString Digits;
-  if constexpr (FormatTraits<T>::RyuCertified)
-    Digits = shortestDigitsLadder(Value, freeOptionsFrom(Options));
-  else
-    Digits = shortestDigits(Value, freeOptionsFrom(Options));
-  return renderAuto(Digits, signBit(Value), renderOptionsFrom(Options));
+  StringSink Out;
+  engine::formatInto(Value, Options, engine::threadScratch(), Out);
+  return std::move(Out.Out);
 }
 
 template <typename T>
 std::string dragon4::toFixed(T Value, int FractionDigits,
                              const PrintOptions &Options) {
-  D4_ASSERT(FractionDigits >= 0, "negative fraction-digit count");
-  std::string Zero = "0";
-  if (FractionDigits > 0) {
-    Zero.push_back('.');
-    Zero.append(static_cast<size_t>(FractionDigits), '0');
-  }
-  std::string Special;
-  if (renderSpecial(Value, Zero, Special))
-    return Special;
-  DigitString Digits =
-      fixedDigitsAbsolute(Value, -FractionDigits, fixedOptionsFrom(Options));
-  // Positional rendering of a conversion that stopped at -FractionDigits
-  // always shows exactly FractionDigits places (padding right of the
-  // integer part never happens because lastPlace == -FractionDigits).
-  return renderPositional(Digits, signBit(Value), renderOptionsFrom(Options));
+  StringSink Out;
+  engine::formatFixedInto(Value, FractionDigits, Options,
+                          engine::threadScratch(), Out);
+  return std::move(Out.Out);
 }
 
 template <typename T>

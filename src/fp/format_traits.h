@@ -8,7 +8,7 @@
 /// The per-format knobs the format-generic conversion pipeline needs beyond
 /// the numeric parameters in IeeeTraits: a runtime FormatId, whether the
 /// mantissa fits uint64_t (narrow Decomposed) or needs the BigInt view
-/// (DecomposedBig), whether the Grisu fast path is certified for the
+/// (DecomposedBig), whether the Ryu front line is certified for the
 /// format, a uniform 128-bit raw-encoding view for tracing/type-erasure,
 /// and the worst-case shortest decimal digit count.
 ///
@@ -52,12 +52,11 @@ constexpr int maxShortestDecimalDigits(int Precision) {
 ///   Name               formatIdName(Id), as a compile-time constant
 ///   WideMantissa       true when the significand exceeds 64 bits and the
 ///                      conversion must take the DecomposedBig path
-///   FastPathCertified  true when the Grisu cached-power table is certified
-///                      for the format's (Precision, MinExponent) range
 ///   RyuCertified       true when the Ryu 128-bit cached-power table and
 ///                      exactness analysis cover the format (Precision <=
 ///                      54 and exponents inside the [-342, 342] power
-///                      range); the front rung of the fallback ladder
+///                      range); the front rung of the shortest ladder,
+///                      ahead of the exact loop
 ///   MaxShortestDigits  ceil(p log10 2) + 1, the free-format digit bound
 ///   encodingBits       raw encoding as (Lo, Hi) uint64 halves; Hi is zero
 ///                      for formats of 64 bits or fewer
@@ -68,7 +67,6 @@ template <> struct FormatTraits<Binary16> {
   static constexpr FormatId Id = FormatId::Binary16;
   static constexpr const char *Name = "binary16";
   static constexpr bool WideMantissa = false;
-  static constexpr bool FastPathCertified = false;
   static constexpr bool RyuCertified = true;
   static constexpr int MaxShortestDigits =
       fp_detail::maxShortestDecimalDigits(IeeeTraits<Binary16>::Precision);
@@ -85,7 +83,6 @@ template <> struct FormatTraits<float> {
   static constexpr FormatId Id = FormatId::Binary32;
   static constexpr const char *Name = "binary32";
   static constexpr bool WideMantissa = false;
-  static constexpr bool FastPathCertified = true;
   static constexpr bool RyuCertified = true;
   static constexpr int MaxShortestDigits =
       fp_detail::maxShortestDecimalDigits(IeeeTraits<float>::Precision);
@@ -102,7 +99,6 @@ template <> struct FormatTraits<double> {
   static constexpr FormatId Id = FormatId::Binary64;
   static constexpr const char *Name = "binary64";
   static constexpr bool WideMantissa = false;
-  static constexpr bool FastPathCertified = true;
   static constexpr bool RyuCertified = true;
   static constexpr int MaxShortestDigits =
       fp_detail::maxShortestDecimalDigits(IeeeTraits<double>::Precision);
@@ -119,7 +115,6 @@ template <> struct FormatTraits<long double> {
   static constexpr FormatId Id = FormatId::Extended80;
   static constexpr const char *Name = "extended80";
   static constexpr bool WideMantissa = false;
-  static constexpr bool FastPathCertified = false;
   // 64-bit mantissa: 4F + 2 overflows the Ryu interval arithmetic.
   static constexpr bool RyuCertified = false;
   static constexpr int MaxShortestDigits =
@@ -148,7 +143,6 @@ template <> struct FormatTraits<Binary128> {
   static constexpr FormatId Id = FormatId::Binary128;
   static constexpr const char *Name = "binary128";
   static constexpr bool WideMantissa = true;
-  static constexpr bool FastPathCertified = false;
   static constexpr bool RyuCertified = false;
   static constexpr int MaxShortestDigits =
       fp_detail::maxShortestDecimalDigits(IeeeTraits<Binary128>::Precision);

@@ -197,10 +197,8 @@ const char *promFamilyHelp(std::string_view Family) {
     return "Finite values converted to shortest decimal form.";
   if (Family == "dragon4_ryu_hits_total")
     return "Conversions resolved by the Ryu front line.";
-  if (Family == "dragon4_fastpath_hits_total")
-    return "Conversions resolved by the certified Grisu fast path.";
   if (Family == "dragon4_slowpath_direct_total")
-    return "Conversions that ran the exact BigInt loop directly.";
+    return "Conversions that ran the exact BigInt loop.";
   if (Family == "dragon4_batch_values_total")
     return "Values converted through the batch engine.";
   if (Family == "dragon4_latency_ns")

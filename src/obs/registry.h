@@ -129,8 +129,6 @@ enum class Counter : uint8_t {
   ScaleIterative,      ///< scale() ran the Figure 1 iterative search.
   ScaleFloatLog,       ///< scale() ran the Figure 2 float-log estimate.
   ScaleEstimate,       ///< scale() ran the Figure 3 two-flop estimator.
-  FastFailUncertified, ///< Grisu attempted but could not certify.
-  FastFailIneligible,  ///< Fast path skipped (base/options not covered).
   DivModOps,           ///< BigInt divMod calls observed under tracing.
   MulOps,              ///< BigInt full multiplications observed.
   FlightRecords,       ///< Conversion records pushed into flight recorders.
@@ -157,13 +155,12 @@ const char *gaugeName(Gauge G);
 const char *histName(Hist H);
 
 /// Latency attribution classes for the per-format × per-path latency grid.
-/// Coarser than obs::Path on purpose: these are the four *cost tiers* a
+/// Coarser than obs::Path on purpose: these are the three *cost tiers* a
 /// value can land in (the SLO surface), not the full trace taxonomy --
-/// Ryu, Grisu, and the exact BigInt loop are the paper's three print
-/// strategies, and parse is the read direction.
+/// Ryu and the exact BigInt loop are the two print strategies, and parse
+/// is the read direction.
 enum class PathClass : uint8_t {
   Ryu,     ///< Ryu front line produced the digits.
-  Grisu,   ///< Grisu certified the digits.
   Dragon4, ///< Exact BigInt loop ran (fallback, direct, or fixed-format).
   Parse,   ///< Text -> float (Eisel-Lemire reader, incl. exact fallback).
   Count
@@ -171,7 +168,7 @@ enum class PathClass : uint8_t {
 
 inline constexpr int NumPathClasses = static_cast<int>(PathClass::Count);
 
-/// Exported label value for \p P ("ryu", "grisu", "dragon4", "parse").
+/// Exported label value for \p P ("ryu", "dragon4", "parse").
 const char *pathClassName(PathClass P);
 
 /// Per-phase cost attribution, fed by the prof/ PhaseCollector.  "Ticks"

@@ -34,10 +34,6 @@ const char *dragon4::obs::pathName(Path P) {
     return "unknown";
   case Path::Ryu:
     return "ryu";
-  case Path::FastPath:
-    return "fast";
-  case Path::SlowFallback:
-    return "slow-fallback";
   case Path::SlowDirect:
     return "slow-direct";
   case Path::Special:
@@ -54,9 +50,6 @@ PathClass dragon4::obs::pathClassFor(Path P) {
   switch (P) {
   case Path::Ryu:
     return PathClass::Ryu;
-  case Path::FastPath:
-    return PathClass::Grisu;
-  case Path::SlowFallback:
   case Path::SlowDirect:
   case Path::Fixed:
     return PathClass::Dragon4;
@@ -151,10 +144,6 @@ void ObsState::finishConversion(const ConversionTrace &T, Path P,
     else if (T.FixupTaken == 0)
       Reg.add(Counter::FixupSkipped);
   }
-  if (T.FastFail == 1)
-    Reg.add(Counter::FastFailUncertified);
-  else if (T.FastFail == 2)
-    Reg.add(Counter::FastFailIneligible);
   Reg.add(Counter::DivModOps, T.DivModOps);
   Reg.add(Counter::MulOps, T.MulOps);
 

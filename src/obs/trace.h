@@ -45,9 +45,7 @@ namespace dragon4::obs {
 enum class Path : uint8_t {
   Unknown,      ///< Trace never classified (e.g. captured outside engine).
   Ryu,          ///< Ryu produced the result (the front line).
-  FastPath,     ///< Grisu certified the result.
-  SlowFallback, ///< Grisu failed; exact BigInt loop ran.
-  SlowDirect,   ///< Fast path ineligible; exact loop ran directly.
+  SlowDirect,   ///< The exact BigInt loop ran (Ryu declined or ineligible).
   Special,      ///< NaN / infinity / zero rendering.
   Fixed,        ///< Fixed-format conversion.
   VerifyCheck,  ///< A verification-harness oracle bundle over one encoding.
@@ -75,7 +73,6 @@ struct ConversionTrace {
   int32_t FinalK = 0;     ///< Scale factor the conversion settled on.
   ScaleBranch Branch = ScaleBranch::None;
   int8_t FixupTaken = -1; ///< 1 fixup fired, 0 estimate exact, -1 n/a.
-  uint8_t FastFail = 0;   ///< 0 none, 1 uncertified, 2 ineligible.
   bool Incremented = false; ///< Digit loop bumped its final digit.
   uint8_t OptionsBase = 0;  ///< PrintOptions::Base (0 = none recorded).
   uint8_t OptionsMode = 0;  ///< Packed boundary/tie knobs (exemplar.h).
@@ -186,7 +183,6 @@ struct ConversionRecord {
   Path PathTaken = Path::Unknown;
   ScaleBranch Branch = ScaleBranch::None;
   int8_t FixupTaken = -1;
-  uint8_t FastFail = 0;
   bool Incremented = false;
   bool Truncated = false;
   bool Mismatch = false; ///< A verify oracle disagreed on this conversion.
@@ -202,7 +198,6 @@ struct ConversionRecord {
     MaxMulLimbs = T.MaxMulLimbs;
     Branch = T.Branch;
     FixupTaken = T.FixupTaken;
-    FastFail = T.FastFail;
     Incremented = T.Incremented;
   }
 

@@ -37,8 +37,7 @@
 namespace dragon4::parse {
 
 /// Per-format constants of the algorithm.  Only hardware binary32/64 have
-/// certified parameters (the same two formats Grisu covers on the print
-/// side); the other formats take the exact reader.
+/// certified parameters; the other formats take the exact reader.
 template <typename T> struct ElParams;
 
 template <> struct ElParams<double> {

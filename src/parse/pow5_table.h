@@ -5,25 +5,34 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The Eisel-Lemire significand table: for every decimal exponent q in
-/// [-342, 308] (the binary64 domain; binary32 uses a subrange), the top
-/// 128 bits of 5^q normalized so bit 127 is set.  The parser multiplies
-/// the 64-bit decimal significand by an entry to approximate w * 10^q --
-/// the 2^q part is tracked separately in the binary exponent.
+/// The library's one powers-of-five table: for every decimal exponent q
+/// in [-342, 342], the top 128 bits of 5^q normalized so bit 127 is set.
+/// Two consumers index it:
+///
+///   * the Eisel-Lemire parser (eisel_lemire.h) multiplies the 64-bit
+///     decimal significand by an entry to approximate w * 10^q -- the 2^q
+///     part is tracked separately in the binary exponent.  Its own
+///     per-format clamps keep it inside [-342, 308] for binary64.
+///   * the Ryu printer (fastpath/ryu.cpp) scales the halfway-neighbour
+///     interval by an entry.  Printing a subnormal binary64 needs 5^i up
+///     to i = 325, which is why the positive side reaches 342.
 ///
 /// Entry semantics:
 ///   q >= 0  truncation: Hi:Lo is the top 128 bits of the exact integer
-///           5^q, so Hi:Lo <= 5^q / 2^(bitlen - 128) < Hi:Lo + 1.
+///           5^q, so Hi:Lo <= 5^q / 2^(bitlen - 128) < Hi:Lo + 1.  Ryu's
+///           POW5_SPLIT, at 128 bits.
 ///   q <  0  reciprocal: Hi:Lo = ceil(2^z / 5^-q) with z chosen so the
 ///           result lands in [2^127, 2^128).  The division is never exact
 ///           (powers of two share no factor with 5), so the ceiling is
 ///           floor + 1 and the entry over-estimates by less than one ulp.
+///           Ryu's POW5_INV_SPLIT, at 128 bits.
 ///
-/// Unlike fastpath/grisu.cpp's cached powers (computed at runtime from
+/// Unlike baselines/grisu.cpp's cached powers (computed at runtime from
 /// BigInt on first use), this table is built entirely at compile time by a
-/// constexpr bignum evaluator below, so the parser has no initialization
-/// order, no locks, and no heap.  tests/parse/pow5_table_test.cpp asserts
-/// every entry against the independent bigint/power_cache.h values.
+/// constexpr bignum evaluator below, so neither consumer has an
+/// initialization order, locks, or heap.  tests/parse/pow5_table_test.cpp
+/// asserts every entry against the independent bigint/power_cache.h
+/// values.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,11 +51,13 @@ struct Pow5Entry {
   uint64_t Lo = 0;
 };
 
-/// Table bounds: the decimal exponents beyond which every sub-2^64
-/// significand is decisively zero (below) or infinity (above) for
-/// binary64.  See eisel_lemire.h for the per-format clamps.
+/// Table bounds.  Below -342 every sub-2^64 significand parses to zero
+/// for binary64; the positive side must reach -MinExponent scaled by
+/// log5(2) for Ryu (325 for binary64's e2 = -1076), and mirrors the
+/// negative side for simplicity.  See eisel_lemire.h for the parser's
+/// per-format clamps, which stop at 308 above.
 inline constexpr int SmallestPowerOfFive = -342;
-inline constexpr int LargestPowerOfFive = 308;
+inline constexpr int LargestPowerOfFive = 342;
 inline constexpr int Pow5TableSize =
     LargestPowerOfFive - SmallestPowerOfFive + 1;
 

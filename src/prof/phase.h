@@ -180,14 +180,17 @@ private:
 
 /// Scoped span marker.  Construction opens the phase on the thread's
 /// active collector (no-op when none is installed); destruction closes it.
+/// Both are forced inline so an unprofiled conversion pays one TLS load
+/// and a branch per span, never a call, however large the enclosing
+/// function grows.
 class PhaseSpan {
 public:
 #if DRAGON4_OBS_ENABLED
-  explicit PhaseSpan(Phase P) : C(ActivePhaseTls) {
+  [[gnu::always_inline]] explicit PhaseSpan(Phase P) : C(ActivePhaseTls) {
     if (C)
       Active = C->enter(P);
   }
-  ~PhaseSpan() {
+  [[gnu::always_inline]] ~PhaseSpan() {
     if (Active)
       C->exit();
   }

@@ -29,7 +29,6 @@ enum class Phase : uint8_t {
   Total,        ///< The whole conversion (gross; every other span nests).
   Decompose,    ///< Classification, IEEE decomposition, eligibility checks.
   RyuPath,      ///< The Ryu front line (exact interval digit generation).
-  FastPath,     ///< The Grisu3 attempt (certified or not).
   Estimator,    ///< The two-flop / float-log scale estimate.
   ScaleSetup,   ///< Table-1 initial values and the B^k scale application.
   Fixup,        ///< The estimate-too-low check and its (free) correction.
@@ -55,8 +54,6 @@ constexpr const char *phaseName(Phase P) {
     return "decompose";
   case Phase::RyuPath:
     return "ryu_path";
-  case Phase::FastPath:
-    return "fast_path";
   case Phase::Estimator:
     return "estimator";
   case Phase::ScaleSetup:
@@ -88,8 +85,6 @@ constexpr const char *phaseLabel(Phase P) {
     return "decompose + classify";
   case Phase::RyuPath:
     return "fast path (Ryu)";
-  case Phase::FastPath:
-    return "fast path (Grisu3)";
   case Phase::Estimator:
     return "scale estimator";
   case Phase::ScaleSetup:

@@ -73,10 +73,10 @@ std::string dragon4::prof::renderCostReport(const obs::Registry &Reg) {
   // Table order: pipeline order rather than enum order, Total's
   // unattributed glue last so the coverage line reads naturally above it.
   static constexpr Phase Order[] = {
-      Phase::Decompose,  Phase::RyuPath,      Phase::FastPath,
-      Phase::Estimator,  Phase::ScaleSetup,   Phase::Fixup,
-      Phase::DigitLoop,  Phase::BigIntMul,    Phase::BigIntDivMod,
-      Phase::Render,     Phase::Overhead,     Phase::Total};
+      Phase::Decompose, Phase::RyuPath,      Phase::Estimator,
+      Phase::ScaleSetup, Phase::Fixup,       Phase::DigitLoop,
+      Phase::BigIntMul, Phase::BigIntDivMod, Phase::Render,
+      Phase::Overhead,  Phase::Total};
   for (Phase P : Order) {
     const obs::PhaseStats &S = Reg.phase(P);
     if (S.Spans == 0 && S.SelfTicksTotal == 0)
@@ -85,10 +85,16 @@ std::string dragon4::prof::renderCostReport(const obs::Registry &Reg) {
         static_cast<double>(S.SelfTicksTotal) / static_cast<double>(Values);
     const double Share =
         Gross > 0 ? 100.0 * static_cast<double>(S.SelfTicksTotal) / Gross : 0;
-    appendF(Out, "  %-26s %10" PRIu64 " %14.1f       %6.1f%% %14.1f\n",
-            phaseLabel(P), S.Spans, PerValue, Share,
-            static_cast<double>(S.Instructions) /
-                static_cast<double>(Values));
+    // The steady-clock fallback cannot count instructions: say so rather
+    // than print a measured-looking 0.0.
+    if (Perf)
+      appendF(Out, "  %-26s %10" PRIu64 " %14.1f       %6.1f%% %14.1f\n",
+              phaseLabel(P), S.Spans, PerValue, Share,
+              static_cast<double>(S.Instructions) /
+                  static_cast<double>(Values));
+    else
+      appendF(Out, "  %-26s %10" PRIu64 " %14.1f       %6.1f%% %14s\n",
+              phaseLabel(P), S.Spans, PerValue, Share, "n/a");
   }
   appendF(Out, "  total measured: %.1f %s/value over %" PRIu64 " values\n",
           Gross / static_cast<double>(Values), TickUnit, Values);

@@ -24,9 +24,11 @@
 #include "parse/parse.h"
 #include "reader/reader.h"
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 
 using namespace dragon4;
 using namespace dragon4::verify;
@@ -42,6 +44,7 @@ constexpr OracleName OracleTable[] = {
     {OracleRoundTrip, "roundtrip"}, {OracleShortest, "shortest"},
     {OracleReference, "reference"}, {OracleLibc, "libc"},
     {OracleEngine, "engine"},       {OracleParse, "parse"},
+    {OracleStd, "std"},
 };
 
 std::string hex(uint64_t Value, int Digits) {
@@ -253,6 +256,46 @@ bool oracleLibcRead(float Value, std::string &Detail) {
   return true;
 }
 
+/// Significant digits of a decimal rendering: the digits before any
+/// exponent, less leading and trailing zeros ("0.00120" -> 2).
+size_t significantDigits(std::string_view Text) {
+  std::string Digits;
+  for (char C : Text.substr(0, Text.find_first_of("eE")))
+    if (C >= '0' && C <= '9')
+      Digits.push_back(C);
+  const size_t First = Digits.find_first_not_of('0');
+  if (First == std::string::npos)
+    return 0;
+  return Digits.find_last_not_of('0') + 1 - First;
+}
+
+/// The oracle that shares no code with src/: libstdc++'s reader must take
+/// our default shortest output back to the same bits, and libstdc++'s
+/// shortest writer must need exactly as many significant digits.
+template <typename T> bool oracleStd(T Value, std::string &Detail) {
+  std::string Text = toShortest(Value);
+  T Back{};
+  auto [End, Ec] =
+      std::from_chars(Text.data(), Text.data() + Text.size(), Back);
+  if (Ec != std::errc() || End != Text.data() + Text.size() ||
+      !BitOps<T>::sameBits(Back, Value)) {
+    Detail = "std: std::from_chars(\"" + Text + "\") does not read back " +
+             BitOps<T>::showBits(Value);
+    return false;
+  }
+  char Buf[64];
+  auto Res = std::to_chars(Buf, Buf + sizeof(Buf), Value,
+                           std::chars_format::scientific);
+  const std::string_view Ref(Buf, static_cast<size_t>(Res.ptr - Buf));
+  if (Res.ec != std::errc() ||
+      significantDigits(Text) != significantDigits(Ref)) {
+    Detail = "std: \"" + Text + "\" vs std::to_chars \"" +
+             std::string(Ref) + "\": significant-digit counts differ";
+    return false;
+  }
+  return true;
+}
+
 /// Fast-parser-vs-exact-reader agreement on the shortest output: the
 /// production parser must consume the whole text and land on the same
 /// bits as both the exact reader and the original value.  Outcomes are
@@ -381,6 +424,10 @@ Verdict checkValue(T Value, unsigned Oracles, engine::Scratch *S) {
       std::string Detail;
       Record(OracleLibc, oracleLibcRead(Value, Detail), Detail);
     }
+    if (Oracles & OracleStd) {
+      std::string Detail;
+      Record(OracleStd, oracleStd(Value, Detail), Detail);
+    }
   }
   if (Oracles & OracleEngine) {
     std::string Detail;
@@ -439,16 +486,15 @@ uint64_t dragon4::verify::encodingCount(FloatFormat Format) {
 unsigned dragon4::verify::supportedOracles(FloatFormat Format) {
   // The engine and parse oracles are format-generic (the buffer pipeline
   // is one traits-driven template; parseFloat falls back to the exact
-  // reader where it has no fast path), so only libc -- which needs a
-  // hardware type with a C-library reader -- is restricted.
+  // reader where it has no fast path), so only libc and std -- which need
+  // a hardware type with a library reader -- are restricted.
   switch (Format) {
   case FloatFormat::Binary16:
-    return OracleAll & ~OracleLibc;
+  case FloatFormat::Binary128:
+    return OracleAll & ~(OracleLibc | OracleStd);
   case FloatFormat::Binary32:
   case FloatFormat::Binary64:
     return OracleAll;
-  case FloatFormat::Binary128:
-    return OracleAll & ~OracleLibc;
   }
   return 0;
 }

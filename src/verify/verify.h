@@ -20,10 +20,15 @@
 ///   libc       strtod/strtof read-back of our output (an oracle outside
 ///              this codebase entirely; binary32/binary64 only)
 ///   engine     engine::format byte-identical to toShortest (every format:
-///              the buffer pipeline is one traits-driven template)
+///              both are sinks over the one engine ladder, so this checks
+///              the sinks, not the digits)
 ///   parse      parse::parseFloat (the Eisel-Lemire production reader)
 ///              agrees bit-for-bit with the exact reader and the original
 ///              value on the shortest output, consuming every byte
+///   std        libstdc++ judges our output with no code from src/:
+///              std::from_chars reads it back to the same bits, and it
+///              carries as many significant digits as std::to_chars'
+///              shortest form (binary32/binary64, default options)
 ///
 /// Values are addressed by raw bit pattern, so every mismatch is trivially
 /// replayable (see verify/corpus.h) and exhaustive sweeps are plain
@@ -65,11 +70,12 @@ enum : unsigned {
   OracleLibc = 1u << 3,
   OracleEngine = 1u << 4,
   OracleParse = 1u << 5,
-  OracleAll = (1u << 6) - 1,
+  OracleStd = 1u << 6,
+  OracleAll = (1u << 7) - 1,
 };
 
 /// The subset of OracleAll implemented for \p Format (everything except
-/// libc, which needs a hardware type with a C-library reader).
+/// libc and std, which need a hardware type with a library reader).
 unsigned supportedOracles(FloatFormat Format);
 
 /// Comma-separated lower-case names of the oracles in \p Mask.

@@ -163,9 +163,9 @@ TEST(EngineFormat, StatsAccounting) {
   std::vector<double> Values = randomBitsDoubles(500, 0xd1a60407);
   for (double V : Values)
     eng::format(V, Buf, sizeof(Buf), PrintOptions{}, S);
-  // The asymmetric LowInclusive reader model bypasses both fast rungs
-  // (Ryu needs symmetric bounds, Grisu needs Conservative/NearestEven),
-  // so a second pass populates the exact-path side of the accounting.
+  // The asymmetric LowInclusive reader model bypasses Ryu (it needs
+  // symmetric bounds), so a second pass populates the exact-path side of
+  // the accounting.
   PrintOptions ExactOnly;
   ExactOnly.Boundaries = BoundaryMode::LowInclusive;
   for (double V : Values)
@@ -174,8 +174,7 @@ TEST(EngineFormat, StatsAccounting) {
   const eng::EngineStats &Stats = S.stats();
   EXPECT_EQ(Stats.Specials, 3u);
   EXPECT_EQ(Stats.Conversions, 2 * Values.size());
-  EXPECT_EQ(Stats.RyuHits + Stats.FastPathHits + Stats.slowPathRuns(),
-            2 * Values.size());
+  EXPECT_EQ(Stats.RyuHits + Stats.slowPathRuns(), 2 * Values.size());
   // Default options all land on the Ryu front line (it certifies every
   // binary64 conversion); the LowInclusive pass all lands on the exact
   // loop, so both sides of the split must be fully populated.

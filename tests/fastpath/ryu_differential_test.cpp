@@ -18,8 +18,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "baselines/grisu.h"
 #include "core/free_format.h"
-#include "fastpath/grisu.h"
 #include "fastpath/ryu.h"
 #include "fp/ieee_traits.h"
 

@@ -11,19 +11,24 @@
 /// a strided sweep.  Every successful Ryu conversion must be byte-identical
 /// to the exact algorithm, and -- asserted separately so a correctness
 /// regression and a minimality regression fail with different messages --
-/// never longer than the Dragon4 output.
+/// never longer than the Dragon4 output.  The RyuLadder cases drive the
+/// whole shortest ladder through toShortest and compare its bytes with the
+/// exact loop's digits rendered by the same rules.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "fastpath/ryu.h"
 
 #include "core/free_format.h"
+#include "format/dtoa.h"
+#include "format/option_maps.h"
 #include "fp/binary16.h"
 #include "fp/ieee_traits.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 using namespace dragon4;
@@ -85,6 +90,18 @@ const char *comboName(const OptionCombo &Combo) {
     break;
   }
   return "?";
+}
+
+bool isFiniteNonZero(Binary16 Value) {
+  FpClass Class = classify(Value);
+  return Class == FpClass::Normal || Class == FpClass::Subnormal;
+}
+
+/// The exact loop alone, rendered by the shared rules: the oracle the
+/// ladder tests compare toShortest against.
+std::string exactText(Binary16 Value, const PrintOptions &Options) {
+  return renderAuto(shortestDigits(Value, freeOptionsFrom(Options)),
+                    signBit(Value), renderOptionsFrom(Options));
 }
 
 /// Runs Ryu and the exact loop on one finite non-zero value and compares.
@@ -178,7 +195,7 @@ TEST(RyuBinary32, StridedMatchesExact) {
 }
 
 /// Asymmetric reader models cannot be expressed by Ryu's AcceptBounds
-/// flag and must report ineligible (the engine then takes Grisu/Dragon4).
+/// flag and must report ineligible (the engine then takes the exact loop).
 TEST(RyuEligibility, AsymmetricBoundariesRejected) {
   bool AcceptBounds = false;
   EXPECT_FALSE(
@@ -216,58 +233,58 @@ TEST(RyuEligibility, AcceptBoundsResolution) {
   EXPECT_FALSE(AcceptBounds);
 }
 
-/// The ladder wrapper must equal plain shortestDigits for every finite
-/// binary16 encoding under the default options (the path the engine and
-/// toShortest take).
+/// The one shortest ladder (Ryu -> exact loop), reached through
+/// toShortest, against the exact loop alone rendered by the same rules:
+/// every finite binary16 encoding, both signs, under the default options.
+/// A wrong dispatch (Ryu taken where it does not model the semantics, or
+/// a bad fallback) shows up as a byte difference here.
 TEST(RyuLadder, Binary16FullSpaceEqualsExact) {
+  const PrintOptions Options;
   for (uint32_t Bits = 0; Bits <= 0xffff; ++Bits) {
     Binary16 Value = Binary16::fromBits(static_cast<uint16_t>(Bits));
-    FpClass Class = classify(Value);
-    if (Class != FpClass::Normal && Class != FpClass::Subnormal)
+    if (!isFiniteNonZero(Value))
       continue;
-    FreeFormatOptions Options;
-    DigitString Ladder = shortestDigitsLadder(Value, Options);
-    DigitString Exact = shortestDigits(Value, Options);
-    ASSERT_EQ(Ladder, Exact) << "bits 0x" << std::hex << Bits;
+    ASSERT_EQ(toShortest(Value, Options), exactText(Value, Options))
+        << "bits 0x" << std::hex << Bits;
   }
 }
 
-/// Ladder vs exact over the full options matrix, strided so the test stays
-/// cheap: the per-combo behavior is already swept exhaustively above; this
-/// guards the dispatch logic (Ryu rung taken, Grisu rung taken, fallback).
+/// Ladder vs exact over the full symmetric options matrix, strided so the
+/// test stays cheap: the per-combo digit behavior is already swept
+/// exhaustively above; this guards the dispatch for every symmetric
+/// reader model and tie rule.
 TEST(RyuLadder, Binary16StridedAllSymmetricOptions) {
   for (uint32_t Bits = 1; Bits <= 0xffff; Bits += 7) {
     Binary16 Value = Binary16::fromBits(static_cast<uint16_t>(Bits));
-    FpClass Class = classify(Value);
-    if (Class != FpClass::Normal && Class != FpClass::Subnormal)
+    if (!isFiniteNonZero(Value))
       continue;
     for (const OptionCombo &Combo : SymmetricCombos) {
-      FreeFormatOptions Options;
+      PrintOptions Options;
       Options.Boundaries = Combo.Boundaries;
       Options.Ties = Combo.Ties;
-      DigitString Ladder = shortestDigitsLadder(Value, Options);
-      DigitString Exact = shortestDigits(Value, Options);
-      ASSERT_EQ(Ladder, Exact)
+      ASSERT_EQ(toShortest(Value, Options), exactText(Value, Options))
           << "bits 0x" << std::hex << Bits << " combo " << comboName(Combo);
     }
   }
 }
 
-/// Asymmetric boundary modes route around Ryu and Grisu entirely; the
-/// ladder must still give the exact answer.
+/// Asymmetric boundary modes route around Ryu entirely; the ladder must
+/// still give the exact answer.
 TEST(RyuLadder, AsymmetricModesFallThrough) {
   for (uint32_t Bits = 1; Bits <= 0xffff; Bits += 31) {
     Binary16 Value = Binary16::fromBits(static_cast<uint16_t>(Bits));
-    FpClass Class = classify(Value);
-    if (Class != FpClass::Normal && Class != FpClass::Subnormal)
+    if (!isFiniteNonZero(Value))
       continue;
     for (BoundaryMode Mode :
          {BoundaryMode::LowInclusive, BoundaryMode::HighInclusive}) {
-      FreeFormatOptions Options;
-      Options.Boundaries = Mode;
-      DigitString Ladder = shortestDigitsLadder(Value, Options);
-      DigitString Exact = shortestDigits(Value, Options);
-      ASSERT_EQ(Ladder, Exact) << "bits 0x" << std::hex << Bits;
+      for (TieBreak Ties :
+           {TieBreak::RoundUp, TieBreak::RoundEven, TieBreak::RoundDown}) {
+        PrintOptions Options;
+        Options.Boundaries = Mode;
+        Options.Ties = Ties;
+        ASSERT_EQ(toShortest(Value, Options), exactText(Value, Options))
+            << "bits 0x" << std::hex << Bits;
+      }
     }
   }
 }

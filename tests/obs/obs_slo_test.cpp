@@ -100,7 +100,8 @@ TEST(SloEvaluate, BreachAndRecovery) {
 
 TEST(SloEvaluate, NoDataIsNotABreach) {
   SloSet Set;
-  auto Rule = SloSet::parse("quiet:dragon4_latency_ns{path=grisu}:p99:10");
+  auto Rule = SloSet::parse(
+      "quiet:dragon4_latency_ns{path=dragon4,format=binary16}:p99:10");
   ASSERT_TRUE(Rule.has_value());
   Set.add(*Rule);
 

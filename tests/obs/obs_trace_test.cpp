@@ -177,7 +177,7 @@ ConversionRecord makeRecord(uint64_t Bits) {
   ConversionRecord R;
   R.BitsLo = Bits;
   R.DigitsEmitted = 3;
-  R.PathTaken = Path::FastPath;
+  R.PathTaken = Path::Ryu;
   return R;
 }
 
@@ -332,8 +332,8 @@ Registry sampleRegistry() {
 TEST(Exporters, StatsJsonParsesBack) {
   engine::EngineStats Stats;
   Stats.Conversions = 1000;
-  Stats.FastPathHits = 900;
-  Stats.FastPathFails = 100;
+  Stats.RyuHits = 900;
+  Stats.SlowPathDirect = 100;
   Stats.SlowDigitLength[16] = 80;
   Stats.SlowDigitLength[17] = 20;
   Registry Reg = sampleRegistry();

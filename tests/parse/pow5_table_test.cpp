@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The compile-time Eisel-Lemire powers-of-five table against the
-/// runtime BigInt machinery: every one of the 651 entries is recomputed
+/// The library's one compile-time powers-of-five table (shared by the
+/// Eisel-Lemire parser and the Ryu printer) against the runtime BigInt
+/// machinery: every one of the 685 entries in [-342, 342] is recomputed
 /// from bigint/power_cache.h's cachedPow (truncation for q >= 0, an
 /// explicit ceiling division for q < 0) and must match bit for bit.  The
 /// two computations share no code -- the table is a constexpr limb
@@ -42,7 +43,7 @@ uint64_t bitsAt(const BigInt &V, int64_t Pos) {
 }
 
 TEST(Pow5Table, Bounds) {
-  EXPECT_EQ(Pow5TableSize, 651);
+  EXPECT_EQ(Pow5TableSize, 685);
   EXPECT_EQ(static_cast<int>(Pow5Table.size()), Pow5TableSize);
   // Every entry is normalized: bit 127 set.
   for (const Pow5Entry &Entry : Pow5Table)
@@ -63,6 +64,10 @@ TEST(Pow5Table, NegativeExponentsMatchCeilingDivision) {
   for (int Q = -1; Q >= SmallestPowerOfFive; --Q) {
     const BigInt &D = cachedPow(5, static_cast<unsigned>(-Q));
     // ceil(2^(bitlen(D) + 127) / D), the normalized 128-bit reciprocal.
+    // The truncation direction matters: the division is never exact (no
+    // power of two shares a factor with 5), so ceiling must be floor + 1
+    // -- an entry built by truncation instead would under-estimate and
+    // break Ryu's one-sided error argument.
     BigInt Numerator(uint64_t(1));
     Numerator <<= D.bitLength() + 127;
     BigInt Quotient, Remainder;

@@ -186,7 +186,7 @@ struct ConfigGuard {
 /// Runs a Schryer subsample through the engine at SampleEvery = 1 and
 /// returns the scratch whose registry carries the phase attribution.
 /// Each value converts twice -- default options ride the Ryu front line,
-/// the asymmetric LowInclusive reader model bypasses both fast rungs --
+/// the asymmetric LowInclusive reader model bypasses Ryu --
 /// so every phase of the ladder records spans (mirrors prof_report).
 void runProfiledWorkload(engine::Scratch &S) {
   char Buf[64];
@@ -243,6 +243,41 @@ TEST(ProfReport, CostReportNamesPhasesBackendAndCoverage) {
         prof::Phase::RyuPath, prof::Phase::Overhead})
     EXPECT_NE(Report.find(prof::phaseLabel(P)), std::string::npos)
         << prof::phaseLabel(P);
+}
+
+/// Under the steady-clock fallback the profiler cannot count
+/// instructions: every phase row must say so ("n/a") instead of printing
+/// a measured-looking 0.0, and the ladder's retired Grisu rung must not
+/// appear as a row or a stack frame.
+TEST(ProfReport, SteadyClockFallbackReportsInstructionsAsUnavailable) {
+  ConfigGuard Guard;
+  FallbackGuard Fallback;
+  testhooks::ForceCounterFallback = true;
+  obs::config().SampleEvery = 1;
+
+  engine::Scratch S;
+  runProfiledWorkload(S);
+  const obs::Registry &Reg = S.obsState().Reg;
+  std::string Report = prof::renderCostReport(Reg);
+
+  EXPECT_NE(Report.find("steady_clock"), std::string::npos) << Report;
+  std::istringstream Lines(Report);
+  std::string Line;
+  size_t Rows = 0;
+  while (std::getline(Lines, Line)) {
+    for (unsigned I = 0; I < prof::NumPhases; ++I) {
+      const std::string Label =
+          std::string("  ") + prof::phaseLabel(static_cast<prof::Phase>(I));
+      if (Line.rfind(Label, 0) != 0)
+        continue;
+      ++Rows;
+      EXPECT_EQ(Line.substr(Line.size() - 3), "n/a") << Line;
+    }
+  }
+  EXPECT_GE(Rows, 5u) << Report;
+  EXPECT_EQ(Report.find("Grisu"), std::string::npos) << Report;
+  EXPECT_EQ(prof::renderFoldedStacks(Reg).find("fast_path"),
+            std::string::npos);
 }
 
 TEST(ProfReport, FoldedStacksParseAndNestUnderTotal) {

@@ -18,6 +18,7 @@
 #include "verify/corpus.h"
 #include "verify/verify.h"
 
+#include "core/free_format.h"
 #include "fastpath/ryu.h"
 #include "fp/binary16.h"
 #include "fp/ieee_traits.h"

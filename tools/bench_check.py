@@ -79,9 +79,8 @@ RATIO_SKEW_FLOOR = 0.90
 
 # Pipeline order for the phase table (matches src/prof/phases.h).
 PHASE_ORDER = [
-    "total", "decompose", "ryu_path", "fast_path", "estimator",
-    "scale_setup", "fixup", "digit_loop", "bigint_mul", "bigint_divmod",
-    "render", "overhead",
+    "total", "decompose", "ryu_path", "estimator", "scale_setup", "fixup",
+    "digit_loop", "bigint_mul", "bigint_divmod", "render", "overhead",
 ]
 
 # Multi-thread batch metrics: batch_4t_ns_per_value, batch32_2t_..., etc.

@@ -18,7 +18,11 @@
 ///   * round-trip: shortest decimal output parses back to the identical
 ///     encoding through dragon4_from_chars AND parse::parseFloat
 ///     (decimal output with the default marker only -- other bases and
-///     markers are outside the parser's grammar).
+///     markers are outside the parser's grammar);
+///   * the verify tier's std oracle on binary32/64: the value's default
+///     shortest output reads back through std::from_chars and carries as
+///     many significant digits as std::to_chars' -- a judge that shares
+///     no code with the library.
 ///
 /// Same seed, same cases: a reported failure prints a one-line
 /// reproducer (format, bits, option bytes, case index).
@@ -33,12 +37,14 @@
 
 #include "dragon4.h"
 #include "engine/stream.h"
+#include "verify/verify.h"
 
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 using namespace dragon4;
@@ -201,6 +207,19 @@ void fuzzOne(const Reproducer &R, eng::Scratch &S) {
     if (!Parsed.ok() || PLo != R.Lo || PHi != R.Hi) {
       reportFailure(R, "parse::parseFloat round-trip",
                     "lo=" + std::to_string(PLo), Reference);
+      return;
+    }
+  }
+
+  if constexpr (std::is_same_v<T, float> || std::is_same_v<T, double>) {
+    verify::BitPattern Bits;
+    Bits.Format = std::is_same_v<T, float> ? verify::FloatFormat::Binary32
+                                           : verify::FloatFormat::Binary64;
+    Bits.Lo = R.Lo;
+    verify::Verdict Std = verify::checkBits(Bits, verify::OracleStd);
+    if (!Std.ok()) {
+      reportFailure(R, "std oracle (default options)", Std.Detail,
+                    toShortest(Value));
       return;
     }
   }

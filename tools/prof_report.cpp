@@ -104,8 +104,8 @@ int main(int Argc, char **Argv) {
   size_t Converted = 0;
   // Each value runs twice: once under the default reader model, which the
   // Ryu front line serves, and once under the asymmetric LowInclusive
-  // model, which no fast rung accepts -- so the report attributes every
-  // rung of the ladder, from ryu_path down to the BigInt digit loop.
+  // model, which Ryu does not accept -- so the report attributes both
+  // rungs of the ladder, from ryu_path down to the BigInt digit loop.
   PrintOptions ExactOnly;
   ExactOnly.Boundaries = BoundaryMode::LowInclusive;
   for (size_t I = 0; I < Values.size(); I += Step) {

@@ -76,7 +76,7 @@ void checkValue(double V, Failure &Failures, engine::Scratch &Scratch) {
   if (!Back || *Back != V)
     Failures.note("round-trip", V, Text);
 
-  // 2. Grisu fast path agreement (conservative boundaries).
+  // 2. Grisu3 baseline agreement (conservative boundaries).
   FreeFormatOptions Conservative;
   Conservative.Boundaries = BoundaryMode::Conservative;
   DigitString Exact = shortestDigits(V, Conservative);

@@ -378,8 +378,8 @@ int writeBenchReport(const Options &Opts, const SweepResult &Result,
     Report.derived("fastparse_fallback_rate",
                    static_cast<double>(Stats.FastParseFallbacks) / Decided);
   }
-  // Shortest-path outcome mix: which rung of the Ryu -> Grisu3 -> Dragon4
-  // ladder served the sweep's conversions.
+  // Shortest-path outcome mix: which rung of the Ryu -> Dragon4 ladder
+  // served the sweep's conversions.
   if (Stats.RyuHits + Stats.RyuFallbacks > 0) {
     double Attempted =
         static_cast<double>(Stats.RyuHits + Stats.RyuFallbacks);
@@ -552,7 +552,7 @@ int main(int Argc, char **Argv) {
     double Attempted =
         static_cast<double>(Stats.RyuHits + Stats.RyuFallbacks);
     std::printf("ryu: %" PRIu64 " hit(s), %" PRIu64
-                " fallback(s) to Grisu3/Dragon4 (hit rate %.4f%%)\n",
+                " fallback(s) to Dragon4 (hit rate %.4f%%)\n",
                 Stats.RyuHits, Stats.RyuFallbacks,
                 100.0 * static_cast<double>(Stats.RyuHits) / Attempted);
   }
