@@ -175,10 +175,12 @@ dragon4_status dragon4_to_chars_fixed_scratch(dragon4_scratch *scratch,
  * literal prefix of text[0..text_length).  On DRAGON4_OK the encoding
  * lands in *bits_lo and *bits_hi, and *consumed (optional, may be NULL) is the
  * number of bytes of the literal.  Grammar: strtod's decimal subset plus
- * inf/infinity/nan, no locale, no whitespace skip, no hex.  The decisive
- * fast path allocates nothing; the provably undecidable residue (literals
- * truncated past 19 significant digits whose bracketing values round
- * differently) resolves through the exact bignum reader, which may. */
+ * inf/infinity/nan, no locale, no whitespace skip, no hex.  binary32 and
+ * binary64 allocate nothing at any literal length: the provably
+ * undecidable residue of the fast path (literals truncated past 19
+ * significant digits whose bracketing values round differently) is
+ * settled by an exact comparison on the stack.  The other formats go
+ * through the exact bignum reader, which may allocate. */
 dragon4_status dragon4_from_chars(dragon4_format format, const char *text,
                                   size_t text_length, uint64_t *bits_lo,
                                   uint64_t *bits_hi, size_t *consumed);

@@ -62,8 +62,9 @@ struct EngineStats {
 
   /// Outcome counters maintained by the fast parser (src/parse/): calls
   /// the Eisel-Lemire product decided (specials included), calls that
-  /// fell back to the exact bignum reader, and rejected (malformed)
-  /// inputs.  Hits + Fallbacks + Rejected == parseFloat calls.
+  /// took the certified exact fallback (the halfway comparison for
+  /// binary32/64, the bignum reader for the other formats), and rejected
+  /// (malformed) inputs.  Hits + Fallbacks + Rejected == parseFloat calls.
   uint64_t FastParseHits = 0;
   uint64_t FastParseFallbacks = 0;
   uint64_t FastParseRejected = 0;

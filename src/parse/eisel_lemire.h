@@ -15,9 +15,9 @@
 /// Without Fallback"): for any w < 2^64 the truncated 128-bit product is
 /// always sufficient to round correctly, so -- unlike the original
 /// algorithm -- there is no "too close to a midpoint, give up" exit.  The
-/// only residue left to the exact bignum reader is inputs whose decimal
-/// significand itself was truncated to 19 digits and whose bracketing
-/// values w and w+1 round differently (see parse.cpp).
+/// only residue left to the halfway comparison (halfway.h) is inputs whose
+/// decimal significand itself was truncated to 19 digits and whose
+/// bracketing values w and w+1 round differently (see parse.cpp).
 ///
 /// The result is the *biased* exponent and stored mantissa, i.e. the
 /// encoding fields themselves: Power2 == 0 with Mantissa == 0 is a signed
@@ -37,7 +37,7 @@
 namespace dragon4::parse {
 
 /// Per-format constants of the algorithm.  Only hardware binary32/64 have
-/// certified parameters; the other formats take the exact reader.
+/// certified parameters; the other formats take the exact bignum reader.
 template <typename T> struct ElParams;
 
 template <> struct ElParams<double> {

@@ -6,7 +6,8 @@
 ///
 /// \file
 /// parseFloat implementation: a single-pass decimal scanner feeding the
-/// Eisel-Lemire core, with the exact reader as the certified fallback.
+/// Eisel-Lemire core, with an exact halfway comparison as the certified
+/// binary32/64 fallback.
 ///
 /// The scanner accumulates at most the first 19 significant digits into a
 /// uint64 (so w < 10^19 and the decisive zero/infinity exponent clamps in
@@ -16,7 +17,9 @@
 /// brackets are run through the core; if they round to the same encoding,
 /// monotonicity of rounding makes that encoding correct for everything in
 /// between.  Only when they disagree -- the provably undecidable residue
-/// -- does the exact bignum reader run.
+/// -- does resolveHalfway (halfway.h) compare the whole literal with the
+/// halfway point between the two encodings, on the stack.  The other
+/// formats have no fast path and take the exact bignum reader.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +30,7 @@
 #include "fp/format_traits.h"
 #include "fp/ieee_traits.h"
 #include "parse/eisel_lemire.h"
+#include "parse/halfway.h"
 #include "reader/reader.h"
 #include "support/checks.h"
 
@@ -41,6 +45,7 @@ struct DecimalScan {
   int64_t Q = 0;
   bool Negative = false;
   bool Truncated = false; ///< Non-zero digits were dropped past 19.
+  size_t TailBegin = 0;   ///< Offset of the 20th significant digit.
   bool IsInfinity = false;
   bool IsNaN = false;
   size_t Consumed = 0;
@@ -110,6 +115,8 @@ bool scanDecimal(std::string_view Text, DecimalScan &Scan) {
       W = W * 10 + static_cast<uint64_t>(C - '0');
       ++SigDigits;
     } else {
+      if (DroppedDigits == 0)
+        Scan.TailBegin = I;
       ++DroppedDigits;
       if (C != '0')
         Truncated = true;
@@ -179,8 +186,9 @@ void charge(engine::EngineStats *Stats, uint64_t engine::EngineStats::*Member) {
     ++(Stats->*Member);
 }
 
-/// The certified fallback: the scanned literal is by construction inside
-/// readFloat's (whole-string) grammar, so the exact reader must accept it.
+/// The non-hardware formats' path: the scanned literal is by construction
+/// inside readFloat's (whole-string) grammar, so the exact reader must
+/// accept it.
 template <typename T>
 void fallbackExact(std::string_view Literal, ParseResult<T> &Result,
                    engine::EngineStats *Stats) {
@@ -229,7 +237,14 @@ ParseResult<T> parseFloatImpl(std::string_view Text,
       // so identical endpoint encodings decide the whole interval.
       AdjustedMantissa Upper = eiselLemire<T>(Scan.Q, Scan.W + 1);
       if (!(Am == Upper)) {
-        fallbackExact(Text.substr(0, Scan.Consumed), Result, Stats);
+        // A halfway point lies in the bracket: the exact comparison of
+        // the whole literal with it picks Am or its successor.
+        Am = resolveHalfway<T>(
+            Scan.W, Text.substr(Scan.TailBegin, Scan.Consumed - Scan.TailBegin),
+            Scan.Q, Am);
+        Result.Value = SpecialBits<T>::compose(Scan.Negative, Am);
+        Result.Path = ParsePath::ExactFallback;
+        charge(Stats, &engine::EngineStats::FastParseFallbacks);
         return Result;
       }
     }

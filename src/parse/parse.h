@@ -6,13 +6,16 @@
 ///
 /// \file
 /// The production read side of the engine: parse::parseFloat<T> is a
-/// locale-free, allocation-free, correctly rounded (nearest-even) decimal
-/// parser.  binary32/64 run the Eisel-Lemire fast path (eisel_lemire.h);
-/// the certified fallback for everything the fast path provably cannot
-/// decide -- decimal significands truncated past 19 digits whose
-/// bracketing values round differently, and the non-hardware formats --
-/// is the exact bignum reader (reader/readFloat), so every outcome is
-/// correctly rounded by construction.
+/// locale-free, correctly rounded (nearest-even) decimal parser.
+/// binary32/64 run the Eisel-Lemire fast path (eisel_lemire.h); the
+/// literals it provably cannot decide -- decimal significands truncated
+/// past 19 digits whose bracketing values round differently -- are
+/// settled by one exact comparison with the halfway point between the
+/// two candidate encodings (halfway.h).  Both rungs work on the stack, so
+/// binary32/64 parsing allocates nothing at any literal length.  The
+/// non-hardware formats (Binary16, x87 extended, Binary128) take the
+/// exact bignum reader (reader/readFloat), which may allocate.  Every
+/// outcome is correctly rounded by construction.
 ///
 /// Unlike readFloat (verification-side, whole-string, throws nothing
 /// away), parseFloat consumes the longest valid literal prefix and
@@ -57,7 +60,8 @@ enum class ParseStatus : uint8_t {
 enum class ParsePath : uint8_t {
   None,          ///< Malformed input -- no conversion ran.
   Fast,          ///< The Eisel-Lemire product was decisive.
-  ExactFallback, ///< The exact bignum reader resolved it.
+  ExactFallback, ///< binary32/64: the exact halfway comparison decided;
+                 ///< other formats: the exact bignum reader.
   Special,       ///< Zero / infinity / NaN literal; no arithmetic needed.
 };
 

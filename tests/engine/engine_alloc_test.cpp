@@ -18,8 +18,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 namespace {
@@ -263,8 +266,7 @@ TEST(EngineAlloc, AbiCallerScratchAllocatesNothingWhenWarm) {
 TEST(EngineAlloc, AbiFromCharsFastPathAllocatesNothing) {
   // The decisive Eisel-Lemire path: short shortest-form literals are
   // always decidable, so parsing them back must allocate nothing.  (The
-  // documented exception -- the truncated-literal residue -- goes
-  // through the exact reader and may allocate.)
+  // truncated-literal residue is ParseFallbackAllocatesNothing below.)
   std::vector<std::string> Texts;
   for (double V : allocCorpus())
     if (V == V) // NaN text parses but its payload is not interesting here.
@@ -281,6 +283,66 @@ TEST(EngineAlloc, AbiFromCharsFastPathAllocatesNothing) {
     ASSERT_EQ(dragon4_from_chars(DRAGON4_FORMAT_BINARY64, T.data(), T.size(),
                                  &Lo, &Hi, &Consumed),
               DRAGON4_OK);
+  EXPECT_EQ(GlobalNewCount.load(std::memory_order_relaxed) - NewBefore, 0u);
+  EXPECT_EQ(limbHeapAllocCount() - LimbHeapBefore, 0u);
+}
+
+/// Near-halfway literals of \p Mid (an exact midpoint between two
+/// adjacent binary32/64 values) that only the halfway comparison decides:
+/// cut to 29 digits, zero-padded to 800 digits, and 1000 digits with a
+/// sticky 1 in the last place.
+std::vector<std::string> fallbackLiterals(long double Mid) {
+  char Buf[1024];
+  std::snprintf(Buf, sizeof Buf, "%.28Le", Mid);
+  std::vector<std::string> Texts = {Buf};
+  std::snprintf(Buf, sizeof Buf, "%.800Le", Mid);
+  std::string Exact = Buf;
+  const size_t Marker = Exact.find('e');
+  std::string Mantissa = Exact.substr(0, Marker);
+  const std::string Exponent = Exact.substr(Marker);
+  Mantissa.resize(801, '0'); // "d." + 799 digits: 800 significant digits.
+  Texts.push_back(Mantissa + Exponent);
+  Mantissa.resize(1000, '0');
+  Mantissa += '1';           // 1000 significant digits.
+  Texts.push_back(Mantissa + Exponent);
+  return Texts;
+}
+
+TEST(EngineAlloc, ParseFallbackAllocatesNothing) {
+  // The binary32/64 certified fallback compares the literal with the
+  // halfway point on a fixed-capacity stack integer: no heap at any
+  // length, on the first call as on every later one.
+  struct Literal {
+    std::string Text;
+    dragon4_format Format;
+  };
+  std::vector<Literal> Literals;
+  for (long double Mid : {1.0L + std::ldexp(1.0L, -53), std::ldexp(1.0L, -1075),
+                          0x1.fffffffffffff8p1023L})
+    for (std::string &T : fallbackLiterals(Mid))
+      Literals.push_back({std::move(T), DRAGON4_FORMAT_BINARY64});
+  for (long double Mid : {1.0L + std::ldexp(1.0L, -24), std::ldexp(1.0L, -150)})
+    for (std::string &T : fallbackLiterals(Mid))
+      Literals.push_back({std::move(T), DRAGON4_FORMAT_BINARY32});
+
+  auto RunAll = [&] {
+    for (const Literal &L : Literals) {
+      const parse::ParsePath Path =
+          L.Format == DRAGON4_FORMAT_BINARY64
+              ? parse::parseFloat<double>(L.Text).Path
+              : parse::parseFloat<float>(L.Text).Path;
+      ASSERT_EQ(Path, parse::ParsePath::ExactFallback) << L.Text;
+      uint64_t Lo = 0, Hi = 0;
+      size_t Consumed = 0;
+      ASSERT_EQ(dragon4_from_chars(L.Format, L.Text.data(), L.Text.size(), &Lo,
+                                   &Hi, &Consumed),
+                DRAGON4_OK);
+      ASSERT_EQ(Consumed, L.Text.size());
+    }
+  };
+  uint64_t NewBefore = GlobalNewCount.load(std::memory_order_relaxed);
+  uint64_t LimbHeapBefore = limbHeapAllocCount();
+  RunAll();
   EXPECT_EQ(GlobalNewCount.load(std::memory_order_relaxed) - NewBefore, 0u);
   EXPECT_EQ(limbHeapAllocCount() - LimbHeapBefore, 0u);
 }

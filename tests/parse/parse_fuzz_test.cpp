@@ -166,7 +166,7 @@ TEST(ParseFuzz, BoundaryCorpusThreeWay) {
   }
 
   // Long-digit fallback triggers: 800-digit strings whose 19-digit prefix
-  // brackets disagree, forcing the exact reader.
+  // brackets disagree, forcing the exact fallback.
   engine::EngineStats Stats;
   std::string Long = "1.";
   Long += std::string(798, '9');

@@ -157,7 +157,7 @@ TEST(ParseFallback, LongDigitStringsForceTheExactReader) {
   // decimal expansion of 1 + 2^-53, the midpoint between 1.0 and its
   // successor.  The 19-digit truncation brackets it -- w rounds to 1.0,
   // w+1 to the successor -- so the fast path is provably undecidable and
-  // the exact reader must run (ties-to-even: 1.0), agreeing with strtod.
+  // the exact fallback must run (ties-to-even: 1.0), agreeing with strtod.
   std::string Hard =
       "1.00000000000000011102230246251565404236316680908203125";
   Hard += std::string(800 - Hard.size(), '0'); // Zero tail: same value.

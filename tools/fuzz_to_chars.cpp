@@ -22,7 +22,11 @@
 ///   * the verify tier's std oracle on binary32/64: the value's default
 ///     shortest output reads back through std::from_chars and carries as
 ///     many significant digits as std::to_chars' -- a judge that shares
-///     no code with the library.
+///     no code with the library;
+///   * parse agreement on binary32/64: the exact midpoint between the
+///     value and its successor, and that midpoint cut to 20-40 digits
+///     and moved one unit up or down in the last one, read through
+///     dragon4_from_chars bit-equal to std::from_chars.
 ///
 /// Same seed, same cases: a reported failure prints a one-line
 /// reproducer (format, bits, option bytes, case index).
@@ -39,10 +43,13 @@
 #include "engine/stream.h"
 #include "verify/verify.h"
 
+#include <charconv>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -111,6 +118,99 @@ PrintOptions toPrintOptions(const dragon4_options &O) {
   Out.UppercaseDigits = O.uppercase_digits != 0;
   Out.ExponentMarker = O.exponent_marker == 0 ? 'e' : O.exponent_marker;
   return Out;
+}
+
+/// std::from_chars of a whole literal.  It reports a result that rounds
+/// to zero or infinity as out of range without storing it; glibc's
+/// strto* then supplies the rounded value.
+template <typename T> bool stdFromChars(const std::string &Text, T &Value) {
+  auto [Ptr, Ec] = std::from_chars(Text.data(), Text.data() + Text.size(),
+                                   Value);
+  if (Ec == std::errc::result_out_of_range) {
+    if constexpr (std::is_same_v<T, float>)
+      Value = std::strtof(Text.c_str(), nullptr);
+    else
+      Value = std::strtod(Text.c_str(), nullptr);
+  } else if (Ec != std::errc()) {
+    return false;
+  }
+  return Ptr == Text.data() + Text.size();
+}
+
+/// Parse agreement on the hardest literals there are: the exact midpoint
+/// between \p Value and its successor (a tie, resolved to even), and the
+/// midpoint cut to 20-40 significant digits with the last one moved a
+/// unit up or down (just above or below it).  The midpoint needs one bit
+/// more than T, which x87 extended (binary64) or double (binary32) holds,
+/// and %.800Le prints every such midpoint exactly.
+template <typename T>
+void checkParseAgreement(const Reproducer &R, T Value) {
+  using Wide = std::conditional_t<std::is_same_v<T, float>, double,
+                                  long double>;
+  if constexpr (std::numeric_limits<Wide>::digits >
+                std::numeric_limits<T>::digits) {
+    if (!std::isfinite(Value))
+      return;
+    const T Magnitude = std::fabs(Value);
+    const T Next = std::nextafter(Magnitude, std::numeric_limits<T>::infinity());
+    const Wide Low = Magnitude;
+    const Wide Mid =
+        std::isinf(Next)
+            ? Low + (Low - std::nextafter(Magnitude, T(0))) / 2
+            : (Low + Next) / 2;
+    char Buf[1024];
+    std::snprintf(Buf, sizeof Buf, "%s%.800Le", std::signbit(Value) ? "-" : "",
+                  static_cast<long double>(Mid));
+    std::string Exact = Buf;
+    const size_t Marker = Exact.find('e');
+    const std::string Exponent = Exact.substr(Marker);
+    std::string Digits = Exact.substr(0, Marker); // [-]d.ddd...
+    Digits.erase(Digits.find_last_not_of('0') + 1);
+    if (Digits.back() == '.')
+      Digits.pop_back();
+
+    // The cut: 20-40 significant digits, then +-1 in the last of them.
+    const size_t Lead = Digits.find_first_of("123456789");
+    const size_t Cut = 20 + (R.CaseIndex * 0x9E3779B97F4A7C15ull >> 59) % 21;
+    std::string Padded = Digits.find('.') == std::string::npos
+                             ? Digits + "."
+                             : Digits;
+    Padded.resize(Lead + 1 + Cut, '0'); // Lead digit, '.', Cut - 1 more.
+    std::string Literals[3] = {Digits + Exponent, Padded + Exponent,
+                               Padded + Exponent};
+    // +1 and -1 in the last digit: the cut is at most the midpoint and
+    // less than one unit of its last digit below it, so the first lands
+    // above the midpoint and the second below.
+    for (int Delta : {+1, -1}) {
+      std::string &L = Literals[Delta > 0 ? 1 : 2];
+      for (size_t I = Lead + Cut; I > Lead; --I) {
+        if (L[I] == '.')
+          continue;
+        const int D = L[I] - '0' + Delta;
+        if (D >= 0 && D <= 9) {
+          L[I] = static_cast<char>('0' + D);
+          break;
+        }
+        L[I] = Delta > 0 ? '0' : '9';
+      }
+    }
+    for (const std::string &Text : Literals) {
+      uint64_t Lo = 0, Hi = 0;
+      size_t Consumed = 0;
+      T Std{};
+      const bool StdOk = stdFromChars(Text, Std);
+      uint64_t StdLo = 0, StdHi = 0;
+      FormatTraits<T>::encodingBits(Std, StdLo, StdHi);
+      if (dragon4_from_chars(R.Format, Text.data(), Text.size(), &Lo, &Hi,
+                             &Consumed) != DRAGON4_OK ||
+          Consumed != Text.size() || !StdOk || Lo != StdLo) {
+        reportFailure(R, "dragon4_from_chars vs std::from_chars (midpoint)",
+                      "lo=" + std::to_string(Lo) + " for " + Text,
+                      "lo=" + std::to_string(StdLo));
+        return;
+      }
+    }
+  }
 }
 
 template <typename T>
@@ -222,6 +322,7 @@ void fuzzOne(const Reproducer &R, eng::Scratch &S) {
                     toShortest(Value));
       return;
     }
+    checkParseAgreement(R, Value);
   }
 
   // The fixed surface (decimal only: toFixed's contract).
