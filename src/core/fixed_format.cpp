@@ -143,28 +143,17 @@ void convertAtPositionInto(FixedStart Setup, unsigned B, TieBreak Ties, int J,
   }
 }
 
-/// By-value convenience over convertAtPositionInto.
-DigitString convertAtPosition(FixedStart Setup, unsigned B, TieBreak Ties,
-                              int J) {
-  DigitLoopResult Loop;
-  DigitString Result;
-  convertAtPositionInto(std::move(Setup), B, Ties, J, Loop, Result);
-  return Result;
-}
-
 } // namespace
 
 DigitString dragon4::fixedFormatAbsoluteBig(const BigInt &F, int E,
                                             int Precision, int MinExponent,
                                             int Position,
                                             const FixedFormatOptions &Options) {
-  D4_ASSERT(!F.isZero() && !F.isNegative(),
-            "fixed-format conversion requires a positive mantissa");
-  D4_ASSERT(Options.Base >= 2 && Options.Base <= 36, "base out of range");
-  FixedStart Setup = setupFixed(F, E, Precision, MinExponent, Options.Base,
-                                Options.Boundaries, Position);
-  return convertAtPosition(std::move(Setup), Options.Base, Options.Ties,
-                           Position);
+  DigitLoopResult Loop;
+  DigitString Result;
+  fixedFormatAbsoluteBigInto(F, E, Precision, MinExponent, Position, Options,
+                             Loop, Result);
+  return Result;
 }
 
 void dragon4::fixedFormatAbsoluteBigInto(const BigInt &F, int E, int Precision,
@@ -193,6 +182,18 @@ DigitString dragon4::fixedFormatRelativeBig(const BigInt &F, int E,
                                             int Precision, int MinExponent,
                                             int NumDigits,
                                             const FixedFormatOptions &Options) {
+  DigitLoopResult Loop;
+  DigitString Result;
+  fixedFormatRelativeBigInto(F, E, Precision, MinExponent, NumDigits, Options,
+                             Loop, Result);
+  return Result;
+}
+
+void dragon4::fixedFormatRelativeBigInto(const BigInt &F, int E, int Precision,
+                                         int MinExponent, int NumDigits,
+                                         const FixedFormatOptions &Options,
+                                         DigitLoopResult &Loop,
+                                         DigitString &Out) {
   D4_ASSERT(!F.isZero() && !F.isNegative(),
             "fixed-format conversion requires a positive mantissa");
   D4_ASSERT(NumDigits >= 1, "at least one digit must be requested");
@@ -218,7 +219,8 @@ DigitString dragon4::fixedFormatRelativeBig(const BigInt &F, int E,
     if (Exact == Candidate) {
       FixedStart Setup =
           setupFixed(F, E, Precision, MinExponent, B, Options.Boundaries, J);
-      return convertAtPosition(std::move(Setup), B, Options.Ties, J);
+      convertAtPositionInto(std::move(Setup), B, Options.Ties, J, Loop, Out);
+      return;
     }
     D4_ASSERT(Exact > Candidate, "scale iteration must be nondecreasing");
     Candidate = Exact;

@@ -62,14 +62,18 @@ DigitString fixedFormatRelativeBig(const BigInt &F, int E, int Precision,
                                    int MinExponent, int NumDigits,
                                    const FixedFormatOptions &Options = {});
 
-/// Zero-allocation absolute-position variant, mirroring runDigitLoopInto:
-/// the loop runs in \p Loop and the positional result lands in \p Out,
-/// both caller-owned with their digit storage cleared but capacity kept.
-/// With a limb arena active and both warm, the conversion performs no
-/// heap traffic.  \p Loop's BigInt tails are consumed in place; it holds
-/// nothing meaningful afterwards.
+/// Zero-allocation variants, mirroring runDigitLoopInto: the loop runs in
+/// \p Loop and the result lands in \p Out, both caller-owned with their
+/// digit storage cleared but capacity kept.  With a limb arena active and
+/// both warm, the conversion performs no heap traffic.  \p Loop's BigInt
+/// tails are consumed in place; it holds nothing meaningful afterwards.
+/// The by-value functions above are wrappers over these.
 void fixedFormatAbsoluteBigInto(const BigInt &F, int E, int Precision,
                                 int MinExponent, int Position,
+                                const FixedFormatOptions &Options,
+                                DigitLoopResult &Loop, DigitString &Out);
+void fixedFormatRelativeBigInto(const BigInt &F, int E, int Precision,
+                                int MinExponent, int NumDigits,
                                 const FixedFormatOptions &Options,
                                 DigitLoopResult &Loop, DigitString &Out);
 
@@ -107,6 +111,26 @@ void fixedDigitsAbsoluteInto(T Value, int Position,
     Decomposed D = decompose(Value);
     fixedFormatAbsoluteBigInto(BigInt(D.F), D.E, Traits::Precision,
                                Traits::MinExponent, Position, Options, Loop,
+                               Out);
+  }
+}
+
+/// Zero-allocation relative-position conversion for a finite non-zero
+/// IEEE value; see fixedFormatAbsoluteBigInto for the storage contract.
+template <typename T>
+void fixedDigitsRelativeInto(T Value, int NumDigits,
+                             const FixedFormatOptions &Options,
+                             DigitLoopResult &Loop, DigitString &Out) {
+  using Traits = IeeeTraits<T>;
+  if constexpr (Traits::Precision > 64) {
+    auto D = decomposeBig(Value);
+    fixedFormatRelativeBigInto(D.F, D.E, Traits::Precision,
+                               Traits::MinExponent, NumDigits, Options, Loop,
+                               Out);
+  } else {
+    Decomposed D = decompose(Value);
+    fixedFormatRelativeBigInto(BigInt(D.F), D.E, Traits::Precision,
+                               Traits::MinExponent, NumDigits, Options, Loop,
                                Out);
   }
 }

@@ -30,15 +30,20 @@
 ///              fallback to reader/ on the undecidable residue
 ///   format/    the Sink concept (sink.h) and the writer-generic digit
 ///              rendering core (render_core.h) under the toShortest/
-///              toFixed/printf templates, all five formats
+///              toFixed/toPrecision/toExponential/printf templates, all
+///              five formats
 ///   engine/    formatInto<T, Sink> -- the one conversion body every
-///              surface instantiates -- plus format<T>/formatFixed<T>,
+///              shortest surface instantiates -- and formatFixedInto, its
+///              fixed-format twin, plus format<T>/formatFixed<T>,
 ///              RecordStream (push-style streaming), BatchEngine<T>,
 ///              type-erased AnyBatch, per-format counters and bounds
 ///   abi/       the stable C ABI (dragon4_to_chars.h): hardened, locale-
 ///              and allocation-free C99 entry points over engine/ + parse/
 ///   baselines/ Steele-White, Grisu3, straightforward fixed-format, printf
-///              shim: bench competitors and differential oracles, not rungs
+///              shim: bench competitors and differential oracles.  One
+///              runs in production: fixed17 is formatPrintf's exact digit
+///              generator (printf's true-expansion digits) until the
+///              precision ladder moves that rung into core/
 ///   testgen/   Schryer-style and random workloads
 ///
 /// The pipeline shape, identical for every T:

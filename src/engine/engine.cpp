@@ -17,7 +17,8 @@
 /// (BufferSink), the StringTable batch path (format() per slot),
 /// RecordStream::push (StreamSink) and toShortest (StringSink) are its
 /// instantiations, and formatFixedInto plays the same role for
-/// formatFixed and toFixed.
+/// formatFixed, toFixed, toPrecision and toExponential: one fixed-format
+/// frame whose digit request and notation are parameters.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -255,20 +256,40 @@ size_t shortestInto(T Value, const PrintOptions &Options, Scratch &S, W &Out,
 }
 
 /// The fixed-format conversion behind formatFixedInto, run inside
-/// observeConversion's frame.  Returns the length of this call's output.
+/// observeConversion's frame: the digits \p Request asks for, laid out in
+/// its notation.  A zero is one 0 digit followed by zero fill to the
+/// requested width.  Returns the length of this call's output.
 template <typename T, Sink W>
-size_t fixedInto(T Value, int FractionDigits, const PrintOptions &Options,
-                 Scratch &S, W &Out, obs::Path &PathKind) {
+size_t fixedInto(T Value, const FixedRequest &Request,
+                 const PrintOptions &Options, Scratch &S, W &Out,
+                 obs::Path &PathKind) {
   using Format = FormatTraits<T>;
   EngineStats &Stats = ScratchAccess::stats(S);
   const size_t Start = Out.written();
+  const RenderOptions Render = renderOptionsFrom(Options);
+  auto Layout = [&](const render_detail::SpanDigits &Source, int K,
+                    bool Negative) {
+    switch (Request.Notation) {
+    case FixedNotation::Positional:
+      render_detail::layoutPositional(Out, Source, K, Negative);
+      break;
+    case FixedNotation::Scientific:
+      render_detail::layoutScientific(Out, Source, K, Negative, Render);
+      break;
+    case FixedNotation::Auto:
+      render_detail::layoutAuto(Out, Source, K, Negative, Render);
+      break;
+    }
+  };
 
   if (putSpecial(Out, Value, Stats, [&] {
-        Out.put('0');
-        if (FractionDigits > 0) {
-          Out.put('.');
-          Out.fill(static_cast<size_t>(FractionDigits), '0');
-        }
+        static constexpr uint8_t ZeroDigit[] = {0};
+        RenderOptions Zeros = Render;
+        Zeros.MarkChar = '0';
+        const int Fill =
+            Request.Significant ? Request.Count - 1 : Request.Count;
+        Layout(render_detail::SpanDigits(ZeroDigit, Fill, Zeros), /*K=*/1,
+               /*Negative=*/false);
       })) {
     PathKind = obs::Path::Special;
     return finishCall(Out, Start, Stats);
@@ -276,12 +297,16 @@ size_t fixedInto(T Value, int FractionDigits, const PrintOptions &Options,
   PathKind = obs::Path::Fixed;
 
   ConversionScope Scope(S);
-  // Scratch-resident loop state and positional result: warm calls reuse
-  // both digit buffers, so the fixed path is allocation-free like the
-  // shortest path (the BigInt limbs come from the arena).
+  // Scratch-resident loop state and result: warm calls reuse both digit
+  // buffers, so the fixed path is allocation-free like the shortest path
+  // (the BigInt limbs come from the arena).
   DigitString &Digits = ScratchAccess::fixedDigits(S);
-  fixedDigitsAbsoluteInto(Value, -FractionDigits, fixedOptionsFrom(Options),
-                          ScratchAccess::loop(S), Digits);
+  if (Request.Significant)
+    fixedDigitsRelativeInto(Value, Request.Count, fixedOptionsFrom(Options),
+                            ScratchAccess::loop(S), Digits);
+  else
+    fixedDigitsAbsoluteInto(Value, -Request.Count, fixedOptionsFrom(Options),
+                            ScratchAccess::loop(S), Digits);
   ++Stats.Conversions;
   ++Stats.FormatConversions[static_cast<int>(Format::Id)];
   ++Stats.SlowPathDirect;
@@ -289,9 +314,9 @@ size_t fixedInto(T Value, int FractionDigits, const PrintOptions &Options,
 
   {
     D4_PROF_SPAN(Render);
-    render_detail::renderPositionalInto(Out, Digits.Digits, Digits.K,
-                                        Digits.TrailingMarks, signBit(Value),
-                                        renderOptionsFrom(Options));
+    Layout(render_detail::SpanDigits(Digits.Digits, Digits.TrailingMarks,
+                                     Render),
+           Digits.K, signBit(Value));
   }
   S.syncArenaStats();
   return finishCall(Out, Start, Stats);
@@ -315,12 +340,13 @@ size_t dragon4::engine::format(T Value, char *Buffer, size_t BufferSize,
 }
 
 template <typename T, typename W>
-size_t dragon4::engine::formatFixedInto(T Value, int FractionDigits,
+size_t dragon4::engine::formatFixedInto(T Value, const FixedRequest &Request,
                                         const PrintOptions &Options,
                                         Scratch &S, W &Out) {
-  D4_ASSERT(FractionDigits >= 0, "negative fraction-digit count");
+  D4_ASSERT(Request.Count >= (Request.Significant ? 1 : 0),
+            "fixed-format digit request out of range");
   return observeConversion(Value, Options, S, Out, [&](obs::Path &PathKind) {
-    return fixedInto(Value, FractionDigits, Options, S, Out, PathKind);
+    return fixedInto(Value, Request, Options, S, Out, PathKind);
   });
 }
 
@@ -329,7 +355,8 @@ size_t dragon4::engine::formatFixed(T Value, int FractionDigits, char *Buffer,
                                     size_t BufferSize,
                                     const PrintOptions &Options, Scratch &S) {
   BufferSink Out(Buffer, BufferSize);
-  return formatFixedInto(Value, FractionDigits, Options, S, Out);
+  return formatFixedInto(Value, FixedRequest{.Count = FractionDigits},
+                         Options, S, Out);
 }
 
 namespace dragon4::engine {
@@ -373,20 +400,24 @@ template size_t formatInto<long double, StringSink>(long double,
 template size_t formatInto<Binary128, StringSink>(Binary128,
                                                   const PrintOptions &,
                                                   Scratch &, StringSink &);
-template size_t formatFixedInto<Binary16, StringSink>(Binary16, int,
+template size_t formatFixedInto<Binary16, StringSink>(Binary16,
+                                                      const FixedRequest &,
                                                       const PrintOptions &,
                                                       Scratch &, StringSink &);
-template size_t formatFixedInto<float, StringSink>(float, int,
+template size_t formatFixedInto<float, StringSink>(float, const FixedRequest &,
                                                    const PrintOptions &,
                                                    Scratch &, StringSink &);
-template size_t formatFixedInto<double, StringSink>(double, int,
+template size_t formatFixedInto<double, StringSink>(double,
+                                                    const FixedRequest &,
                                                     const PrintOptions &,
                                                     Scratch &, StringSink &);
-template size_t formatFixedInto<long double, StringSink>(long double, int,
+template size_t formatFixedInto<long double, StringSink>(long double,
+                                                         const FixedRequest &,
                                                          const PrintOptions &,
                                                          Scratch &,
                                                          StringSink &);
-template size_t formatFixedInto<Binary128, StringSink>(Binary128, int,
+template size_t formatFixedInto<Binary128, StringSink>(Binary128,
+                                                       const FixedRequest &,
                                                        const PrintOptions &,
                                                        Scratch &,
                                                        StringSink &);

@@ -13,6 +13,13 @@
 /// storage, so a warmed-up conversion performs zero heap allocations even
 /// when it falls back to the exact BigInt path.
 ///
+/// Two conversion bodies serve every surface: formatInto (shortest output)
+/// and formatFixedInto (the paper's Section 4 output, for a FixedRequest:
+/// digits to an absolute position or a count of significant digits, laid
+/// out positionally, scientifically or automatically).  The string API
+/// (toShortest, toFixed, toPrecision, toExponential) is these over a
+/// StringSink on threadScratch().
+///
 /// The API is format-generic: one template pipeline, explicitly
 /// instantiated for all five supported formats (Binary16, float, double,
 /// long double / x87 extended80, Binary128).  Formats whose significand
@@ -56,18 +63,36 @@ namespace dragon4::engine {
 template <typename T, typename W>
 size_t formatInto(T Value, const PrintOptions &Options, Scratch &S, W &Out);
 
-/// The writer-generic fixed conversion: renders \p Value with exactly
-/// \p FractionDigits positions after the radix point into any Sink and
-/// returns the characters this call wrote.  formatFixed() is
-/// formatFixedInto over a BufferSink, toFixed over a StringSink.
+/// How a fixed-format conversion lays out its digits.
+enum class FixedNotation : uint8_t {
+  Positional, ///< "123.450" -- toFixed.
+  Scientific, ///< "1.23450e+2" -- toExponential.
+  Auto,       ///< Positional or scientific per the K window -- toPrecision.
+};
+
+/// What a fixed-format conversion asks for: where its digits stop, and
+/// the notation they are laid out in.
+struct FixedRequest {
+  /// True: Count significant digits (a relative position).  False: Count
+  /// places after the radix point (the absolute position -Count).
+  bool Significant = false;
+  int Count = 0;
+  FixedNotation Notation = FixedNotation::Positional;
+};
+
+/// The writer-generic fixed conversion (the paper's Section 4): renders
+/// the digits \p Request asks for into any Sink and returns the
+/// characters this call wrote.  formatFixed() is formatFixedInto over a
+/// BufferSink; toFixed, toPrecision and toExponential are formatFixedInto
+/// over a StringSink.
 template <typename T, typename W>
-size_t formatFixedInto(T Value, int FractionDigits,
+size_t formatFixedInto(T Value, const FixedRequest &Request,
                        const PrintOptions &Options, Scratch &S, W &Out);
 
 /// The calling thread's default workspace: one lazily constructed Scratch
-/// per thread, which is what makes the string API (toShortest/toFixed)
-/// and the C ABI's plain entry points reentrant across threads with no
-/// locking and no caller bookkeeping.
+/// per thread, which is what makes the string API (toShortest, toFixed,
+/// toPrecision, toExponential) and the C ABI's plain entry points
+/// reentrant across threads with no locking and no caller bookkeeping.
 inline Scratch &threadScratch() {
   thread_local Scratch S;
   return S;

@@ -5,12 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one-call public API most users want: value in, string out.  These
-/// functions screen the special values (zero, infinities, NaN), run the
-/// appropriate conversion, and render the digits.  toShortest and toFixed
-/// are the engine's conversions (engine::formatInto / formatFixedInto)
-/// over a StringSink on the calling thread's engine::threadScratch(), so
-/// they share every byte and every counter with the buffer and C APIs.
+/// The one-call public API most users want: value in, string out.  Each
+/// function is an engine conversion over a StringSink on the calling
+/// thread's engine::threadScratch(): toShortest is engine::formatInto,
+/// and toFixed, toPrecision and toExponential are formatFixedInto with
+/// their digit request and notation.  The engine screens the special
+/// values (zero, infinities, NaN), runs the conversion with its BigInt
+/// limbs on the Scratch's arena, and renders the digits, so these
+/// functions share every byte and every counter with the buffer and C
+/// APIs.
 ///
 ///   toShortest(0.3)            == "0.3"          (not "0.29999999999999999")
 ///   toFixed(1.0/3, 10)         == "0.3333333333"

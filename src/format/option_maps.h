@@ -7,11 +7,12 @@
 /// \file
 /// Internal: splits the public PrintOptions into the option blocks of the
 /// layers a conversion runs through -- the free-format and fixed-format
-/// digit cores and the renderer.  One definition, shared by the engine
-/// (engine/engine.cpp) and the string API (format/dtoa.cpp), so the two
-/// surfaces cannot map a knob differently.  The maps are forced inline:
-/// renderOptionsFrom sits on the Ryu hot path, where an out-of-line call
-/// returning the block by value costs a measurable few ns per value.
+/// digit cores and the renderer.  One definition, used by the engine
+/// (engine/engine.cpp), which every string, buffer and C surface runs
+/// through, so no two surfaces can map a knob differently.  The maps are
+/// forced inline: renderOptionsFrom sits on the Ryu hot path, where an
+/// out-of-line call returning the block by value costs a measurable few
+/// ns per value.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -7,215 +7,52 @@
 #include "format/printf_compat.h"
 
 #include "baselines/fixed17.h"
+#include "format/render_core.h"
 #include "format/sink.h"
 #include "fp/ieee_traits.h"
 #include "support/checks.h"
 
 #include <algorithm>
-#include <cctype>
-#include <string_view>
+#include <span>
 
 using namespace dragon4;
 
 namespace {
 
-/// The sign prefix C mandates: '-', or '+'/' ' on request.
-std::string signPrefix(bool Negative, const PrintfSpec &Spec) {
-  if (Negative)
-    return "-";
-  if (Spec.ForceSign)
-    return "+";
-  if (Spec.SpaceSign)
-    return " ";
-  return "";
-}
-
-/// Applies width/justification into any sink: spaces outside, or zeros
-/// between the sign and the body when '0' is given (and '-' is not).  The
-/// string and caller-buffer surfaces are two instantiations of this one
-/// emitter, so their bytes cannot drift.
-template <Sink W>
-void emitPadded(W &Out, std::string_view Sign, std::string_view Body,
-                const PrintfSpec &Spec, bool AllowZeroPad) {
-  auto putText = [&Out](std::string_view Text) {
-    for (char C : Text)
-      Out.put(C);
-  };
-  size_t Have = Sign.size() + Body.size();
-  size_t Want = static_cast<size_t>(Spec.Width > 0 ? Spec.Width : 0);
-  size_t Fill = Have >= Want ? 0 : Want - Have;
-  if (Spec.LeftJustify) {
-    putText(Sign);
-    putText(Body);
+/// Writes the sign and the body \p Layout lays out (it is called with the
+/// sink to write into) padded to the field width: spaces outside, or
+/// zeros between the sign and the body when '0' is given (and '-' is
+/// not).  The body is measured with a CountingSink first, and only when a
+/// width is given.
+template <Sink W, typename LayoutFn>
+void emitPadded(W &Out, char Sign, const PrintfSpec &Spec, bool AllowZeroPad,
+                const LayoutFn &Layout) {
+  size_t Fill = 0;
+  if (Spec.Width > 0) {
+    CountingSink Measure;
+    Layout(Measure);
+    const size_t Have = Measure.written() + (Sign ? 1 : 0);
+    const size_t Want = static_cast<size_t>(Spec.Width);
+    Fill = Have < Want ? Want - Have : 0;
+  }
+  const bool ZeroFill = AllowZeroPad && Spec.ZeroPad && !Spec.LeftJustify;
+  if (!Spec.LeftJustify && !ZeroFill)
     Out.fill(Fill, ' ');
-  } else if (Spec.ZeroPad && AllowZeroPad) {
-    putText(Sign);
+  if (Sign)
+    Out.put(Sign);
+  if (ZeroFill)
     Out.fill(Fill, '0');
-    putText(Body);
-  } else {
+  Layout(Out);
+  if (Spec.LeftJustify)
     Out.fill(Fill, ' ');
-    putText(Sign);
-    putText(Body);
-  }
 }
 
-char digitChar(uint8_t Digit) { return static_cast<char>('0' + Digit); }
-
-/// Renders "d.dddd" from \p Digits with exactly \p FractionDigits places
-/// after the point (padding with zeros; the digit vector always has at
-/// least one entry).
-std::string mantissaText(const std::vector<uint8_t> &Digits,
-                         int FractionDigits, bool KeepPoint) {
-  std::string Text(1, digitChar(Digits[0]));
-  if (FractionDigits > 0 || KeepPoint)
-    Text.push_back('.');
-  for (int I = 0; I < FractionDigits; ++I) {
-    size_t Index = static_cast<size_t>(I) + 1;
-    Text.push_back(Index < Digits.size() ? digitChar(Digits[Index]) : '0');
-  }
-  return Text;
-}
-
-/// Appends "e+XX" with at least two exponent digits, C style.
-void appendExponent(std::string &Out, int Exponent, bool Uppercase) {
-  Out.push_back(Uppercase ? 'E' : 'e');
-  Out.push_back(Exponent < 0 ? '-' : '+');
-  unsigned Magnitude =
-      Exponent < 0 ? static_cast<unsigned>(-Exponent)
-                   : static_cast<unsigned>(Exponent);
-  std::string DigitsText = std::to_string(Magnitude);
-  if (DigitsText.size() < 2)
-    DigitsText.insert(DigitsText.begin(), '0');
-  Out += DigitsText;
-}
-
-/// %e / %E body for a finite non-zero value (the digit machinery is
-/// sign-agnostic, so the sign needs no stripping here).
-template <typename T>
-std::string bodyScientific(T Value, int Precision, bool Uppercase,
-                           bool Alternate) {
-  DigitString D =
-      straightforwardDigits(Value, Precision + 1, 10, TieBreak::RoundEven);
-  std::string Out = mantissaText(D.Digits, Precision, Alternate);
-  appendExponent(Out, D.K - 1, Uppercase);
-  return Out;
-}
-
-/// %f / %F body for a finite non-zero value.
-template <typename T>
-std::string bodyFixed(T Value, int Precision, bool Alternate) {
-  DigitString D = straightforwardDigitsAbsolute(Value, -Precision, 10,
-                                                TieBreak::RoundEven);
-  // D covers positions D.K-1 down to -Precision.
-  std::string Out;
-  if (D.K <= 0) {
-    Out.push_back('0');
-  } else {
-    for (int I = 0; I < D.K; ++I)
-      Out.push_back(digitChar(D.Digits[static_cast<size_t>(I)]));
-  }
-  if (Precision > 0 || Alternate)
-    Out.push_back('.');
-  for (int Place = -1; Place >= -Precision; --Place) {
-    int Index = D.K - 1 - Place; // Digit index covering this place.
-    if (Index < 0 || Index >= static_cast<int>(D.Digits.size()))
-      Out.push_back('0');
-    else
-      Out.push_back(digitChar(D.Digits[static_cast<size_t>(Index)]));
-  }
-  return Out;
-}
-
-/// %g / %G body for a finite non-zero value.
-template <typename T>
-std::string bodyGeneral(T Value, int Precision, bool Uppercase,
-                        bool Alternate) {
-  int Significant = Precision < 1 ? 1 : Precision;
-  DigitString D =
-      straightforwardDigits(Value, Significant, 10, TieBreak::RoundEven);
-  int Exponent = D.K - 1;
-
-  std::string Out;
-  if (Exponent < -4 || Exponent >= Significant) {
-    Out = mantissaText(D.Digits, Significant - 1, Alternate);
-    if (!Alternate) {
-      // Strip trailing fraction zeros, then a dangling point.
-      size_t Point = Out.find('.');
-      if (Point != std::string::npos) {
-        size_t Last = Out.find_last_not_of('0');
-        Out.erase(Last == Point ? Point : Last + 1);
-      }
-    }
-    appendExponent(Out, Exponent, Uppercase);
-    return Out;
-  }
-
-  // Positional style with Significant - 1 - Exponent fraction digits.
-  int FractionDigits = Significant - 1 - Exponent;
-  if (D.K <= 0) {
-    Out = "0.";
-    Out.append(static_cast<size_t>(-D.K), '0');
-    for (uint8_t Digit : D.Digits)
-      Out.push_back(digitChar(Digit));
-  } else {
-    for (int I = 0; I < static_cast<int>(D.Digits.size()); ++I) {
-      if (I == D.K)
-        Out.push_back('.');
-      Out.push_back(digitChar(D.Digits[static_cast<size_t>(I)]));
-    }
-    // All digits were integral: no fraction part was emitted.
-    if (static_cast<int>(D.Digits.size()) <= D.K)
-      Out.append(static_cast<size_t>(D.K - static_cast<int>(D.Digits.size())),
-                 '0');
-  }
-  if (!Alternate) {
-    size_t Point = Out.find('.');
-    if (Point != std::string::npos) {
-      size_t Last = Out.find_last_not_of('0');
-      Out.erase(Last == Point ? Point : Last + 1);
-    }
-  } else if (Out.find('.') == std::string::npos) {
-    Out.push_back('.');
-  }
-  (void)FractionDigits; // The digit count already encodes it.
-  return Out;
-}
-
-std::string zeroBody(char Conversion, int Precision, bool Alternate) {
-  switch (Conversion) {
-  case 'e':
-  case 'E': {
-    std::string Out = "0";
-    if (Precision > 0 || Alternate) {
-      Out.push_back('.');
-      Out.append(static_cast<size_t>(Precision), '0');
-    }
-    appendExponent(Out, 0, Conversion == 'E');
-    return Out;
-  }
-  case 'f':
-  case 'F': {
-    std::string Out = "0";
-    if (Precision > 0 || Alternate) {
-      Out.push_back('.');
-      Out.append(static_cast<size_t>(Precision), '0');
-    }
-    return Out;
-  }
-  default: { // g / G
-    if (!Alternate)
-      return "0";
-    int Significant = Precision < 1 ? 1 : Precision;
-    std::string Out = "0.";
-    Out.append(static_cast<size_t>(Significant - 1), '0');
-    return Out;
-  }
-  }
-}
-
-/// One printf conversion rendered into any sink: computes the sign and
-/// body (the digit machinery behind the body builders is shared with the
-/// baselines layer) and drives the sink-generic padding emitter.
+/// One printf conversion rendered into any sink.  The digits come from
+/// the exact generators of baselines/fixed17.h and are laid out by
+/// render_core, the layout every other surface uses; a zero is one 0
+/// digit followed by zero fill.  printf adds only what C requires: the
+/// sign and flags, the two-digit exponent, the '#' point and the %g
+/// trim of trailing zeros.
 template <typename T, Sink W>
 void printfInto(W &Out, T Value, const PrintfSpec &Spec) {
   const char C = Spec.Conversion;
@@ -223,44 +60,65 @@ void printfInto(W &Out, T Value, const PrintfSpec &Spec) {
                 C == 'G',
             "unsupported printf conversion");
   const bool Uppercase = C == 'E' || C == 'F' || C == 'G';
+  const bool Fixed = C == 'f' || C == 'F';
+  const bool General = C == 'g' || C == 'G';
   const int Precision = Spec.Precision < 0 ? 6 : Spec.Precision;
-  const bool Negative = signBit(Value);
-  std::string Sign = signPrefix(Negative, Spec);
+  const char Sign = signBit(Value) ? '-'
+                    : Spec.ForceSign ? '+'
+                    : Spec.SpaceSign ? ' '
+                                     : '\0';
 
-  switch (classify(Value)) {
-  case FpClass::NaN:
-    // C prints NaN unsigned for positive, "-nan" style is allowed but
-    // glibc prints the sign of the NaN; match glibc.
-    emitPadded(Out, Sign, Uppercase ? "NAN" : "nan", Spec,
-               /*AllowZeroPad=*/false);
+  const FpClass Class = classify(Value);
+  if (Class == FpClass::NaN || Class == FpClass::Infinity) {
+    // glibc prints the sign of a NaN as well.
+    const char *Text = Class == FpClass::NaN ? (Uppercase ? "NAN" : "nan")
+                                             : (Uppercase ? "INF" : "inf");
+    emitPadded(Out, Sign, Spec, /*AllowZeroPad=*/false,
+               [Text](auto &Body) { Body.literal(Text); });
     return;
-  case FpClass::Infinity:
-    emitPadded(Out, Sign, Uppercase ? "INF" : "inf", Spec,
-               /*AllowZeroPad=*/false);
-    return;
-  case FpClass::Zero:
-    emitPadded(Out, Sign, zeroBody(C, Precision, Spec.Alternate), Spec, true);
-    return;
-  case FpClass::Normal:
-  case FpClass::Subnormal:
-    break;
   }
 
-  std::string Body;
-  switch (C) {
-  case 'e':
-  case 'E':
-    Body = bodyScientific(Value, Precision, Uppercase, Spec.Alternate);
-    break;
-  case 'f':
-  case 'F':
-    Body = bodyFixed(Value, Precision, Spec.Alternate);
-    break;
-  default:
-    Body = bodyGeneral(Value, Precision, Uppercase, Spec.Alternate);
-    break;
+  // %f stops at position -Precision; %e asks for Precision + 1
+  // significant digits and %g for max(Precision, 1).
+  const int Significant = General ? std::max(Precision, 1) : Precision + 1;
+  static constexpr uint8_t ZeroDigit[] = {0};
+  std::span<const uint8_t> Digits(ZeroDigit);
+  int K = 1;
+  int TrailingZeros = Fixed ? Precision : Significant - 1;
+  DigitString D;
+  if (Class != FpClass::Zero) {
+    D = Fixed ? straightforwardDigitsAbsolute(Value, -Precision, 10,
+                                              TieBreak::RoundEven)
+              : straightforwardDigits(Value, Significant, 10,
+                                      TieBreak::RoundEven);
+    Digits = D.Digits;
+    K = D.K;
+    TrailingZeros = 0;
   }
-  emitPadded(Out, Sign, Body, Spec, /*AllowZeroPad=*/true);
+
+  bool Scientific = !Fixed;
+  if (General) {
+    Scientific = K - 1 < -4 || K - 1 >= Significant;
+    if (!Spec.Alternate) {
+      TrailingZeros = 0;
+      while (Digits.size() > 1 && Digits.back() == 0)
+        Digits = Digits.first(Digits.size() - 1);
+    }
+  }
+
+  RenderOptions Render;
+  Render.ExponentMarker = Uppercase ? 'E' : 'e';
+  Render.MarkChar = '0';
+  const render_detail::SpanDigits Source(Digits, TrailingZeros, Render);
+  emitPadded(Out, Sign, Spec, /*AllowZeroPad=*/true, [&](auto &Body) {
+    if (Scientific)
+      render_detail::layoutScientific(Body, Source, K, /*Negative=*/false,
+                                      Render, Spec.Alternate,
+                                      /*MinExponentDigits=*/2);
+    else
+      render_detail::layoutPositional(Body, Source, K, /*Negative=*/false,
+                                      Spec.Alternate);
+  });
 }
 
 PrintfSpec parseSpec(const char *Spec) {

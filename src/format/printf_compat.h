@@ -17,10 +17,17 @@
 /// with no locale or buffer-size pitfalls, and the test suite gets a
 /// byte-level cross-validation oracle against the C library.
 ///
-/// The formatter is one format-generic template over the traits-driven
-/// digit machinery (baselines/fixed17.h), explicitly instantiated for all
-/// five supported formats; the C library can only cross-check the hardware
-/// types, but the software formats flow through the identical code.
+/// The formatter is one format-generic template, explicitly instantiated
+/// for all five supported formats; the C library can only cross-check the
+/// hardware types, but the software formats flow through the identical
+/// code.  Its digits come from the traits-driven exact generator of
+/// baselines/fixed17.h; its layout is render_core's layoutPositional /
+/// layoutScientific over a digit span -- the rules every other surface
+/// uses -- written straight into the caller's sink.  printf adds only what
+/// C requires: the sign and flags, the two-digit exponent, the '#' point
+/// and the %g zero trim.  Field width is measured with a CountingSink.
+/// Unlike toFixed/toPrecision/toExponential it does not run on the
+/// engine's Scratch.
 ///
 //===----------------------------------------------------------------------===//
 

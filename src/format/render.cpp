@@ -18,13 +18,21 @@
 #include "format/sink.h"
 
 using namespace dragon4;
+using namespace dragon4::render_detail;
+
+namespace {
+
+SpanDigits spanOf(const DigitString &Digits, const RenderOptions &Options) {
+  return SpanDigits(Digits.Digits, Digits.TrailingMarks, Options);
+}
+
+} // namespace
 
 std::string dragon4::renderPositional(const DigitString &Digits,
                                       bool Negative,
                                       const RenderOptions &Options) {
   StringSink W;
-  render_detail::renderPositionalInto(W, Digits.Digits, Digits.K,
-                                      Digits.TrailingMarks, Negative, Options);
+  layoutPositional(W, spanOf(Digits, Options), Digits.K, Negative);
   return std::move(W.Out);
 }
 
@@ -32,15 +40,13 @@ std::string dragon4::renderScientific(const DigitString &Digits,
                                       bool Negative,
                                       const RenderOptions &Options) {
   StringSink W;
-  render_detail::renderScientificInto(W, Digits.Digits, Digits.K,
-                                      Digits.TrailingMarks, Negative, Options);
+  layoutScientific(W, spanOf(Digits, Options), Digits.K, Negative, Options);
   return std::move(W.Out);
 }
 
 std::string dragon4::renderAuto(const DigitString &Digits, bool Negative,
                                 const RenderOptions &Options) {
   StringSink W;
-  render_detail::renderAutoInto(W, Digits.Digits, Digits.K,
-                                Digits.TrailingMarks, Negative, Options);
+  layoutAuto(W, spanOf(Digits, Options), Digits.K, Negative, Options);
   return std::move(W.Out);
 }

@@ -8,9 +8,11 @@
 /// The one implementation of positional/scientific/auto rendering, written
 /// against the Sink concept (format/sink.h) so every surface -- the
 /// std::string renderers in render.cpp, the zero-allocation char-buffer
-/// engine, the fixed-stride StringTable batch slots, and the push-style
-/// RecordStream -- emits byte-identical text from the same code instead of
-/// hand-kept twins.
+/// engine, the fixed-stride StringTable batch slots, the push-style
+/// RecordStream, and formatPrintf -- emits byte-identical text from the
+/// same code instead of hand-kept twins.  printf's extras are parameters
+/// of the layout rules: a radix point kept after the last digit (C's '#')
+/// and a minimum exponent width (C's two digits).
 ///
 /// The layout rules take their digits from one of two sources:
 ///
@@ -133,8 +135,10 @@ private:
   int Length;
 };
 
-/// Decimal exponent with an explicit sign -- snprintf("%+d", Exponent).
-template <Sink Writer> void putExponent(Writer &W, int Exponent) {
+/// Decimal exponent with an explicit sign and at least \p MinDigits digits
+/// -- snprintf("%+.*d", MinDigits, Exponent); C's %e asks for two.
+template <Sink Writer>
+void putExponent(Writer &W, int Exponent, int MinDigits = 1) {
   char Text[12];
   char *End = Text + sizeof(Text);
   char *Begin = End;
@@ -144,13 +148,17 @@ template <Sink Writer> void putExponent(Writer &W, int Exponent) {
     *--Begin = static_cast<char>('0' + Magnitude % 10);
     Magnitude /= 10;
   } while (Magnitude != 0);
+  while (End - Begin < MinDigits)
+    *--Begin = '0';
   *--Begin = Exponent < 0 ? '-' : '+';
   W.append(Begin, static_cast<size_t>(End - Begin));
 }
 
-/// Positional notation, e.g. "123.45", "0.00078", "12300".
+/// Positional notation, e.g. "123.45", "0.00078", "12300".  \p KeepPoint
+/// writes the radix point even when no digit follows it (C's '#' flag).
 template <Sink Writer, typename Source>
-void layoutPositional(Writer &W, const Source &Digits, int K, bool Negative) {
+void layoutPositional(Writer &W, const Source &Digits, int K, bool Negative,
+                      bool KeepPoint = false) {
   const int Width = Digits.width();
   if (Negative)
     W.put('-');
@@ -167,6 +175,8 @@ void layoutPositional(Writer &W, const Source &Digits, int K, bool Negative) {
     // of the radix point.
     Digits.put(W, 0, Width);
     W.fill(static_cast<size_t>(K - Width), '0');
+    if (KeepPoint)
+      W.put('.');
     return;
   }
   Digits.put(W, 0, K);
@@ -174,21 +184,24 @@ void layoutPositional(Writer &W, const Source &Digits, int K, bool Negative) {
   Digits.put(W, K, Width);
 }
 
-/// Scientific notation "d.ddd...e±x"; the exponent is always decimal.
+/// Scientific notation "d.ddd...e±x"; the exponent is always decimal, with
+/// at least \p MinExponentDigits digits.  \p KeepPoint writes the point
+/// after a lone leading digit too.
 template <Sink Writer, typename Source>
 void layoutScientific(Writer &W, const Source &Digits, int K, bool Negative,
-                      const RenderOptions &Options) {
+                      const RenderOptions &Options, bool KeepPoint = false,
+                      int MinExponentDigits = 1) {
   const int Width = Digits.width();
   D4_ASSERT(Width > 0, "cannot render an empty digit string");
   if (Negative)
     W.put('-');
   Digits.put(W, 0, 1);
-  if (Width > 1) {
+  if (Width > 1 || KeepPoint) {
     W.put('.');
     Digits.put(W, 1, Width);
   }
   W.put(Options.ExponentMarker);
-  putExponent(W, K - 1);
+  putExponent(W, K - 1, MinExponentDigits);
 }
 
 /// Chooses positional or scientific per the options' K window.
@@ -201,24 +214,8 @@ void layoutAuto(Writer &W, const Source &Digits, int K, bool Negative,
     layoutScientific(W, Digits, K, Negative, Options);
 }
 
-// The digit-span entry points: \p Digits (any base) followed by
-// \p TrailingMarks insignificant positions.
-
-template <Sink Writer>
-void renderPositionalInto(Writer &W, std::span<const uint8_t> Digits, int K,
-                          int TrailingMarks, bool Negative,
-                          const RenderOptions &Options) {
-  layoutPositional(W, SpanDigits(Digits, TrailingMarks, Options), K, Negative);
-}
-
-template <Sink Writer>
-void renderScientificInto(Writer &W, std::span<const uint8_t> Digits, int K,
-                          int TrailingMarks, bool Negative,
-                          const RenderOptions &Options) {
-  layoutScientific(W, SpanDigits(Digits, TrailingMarks, Options), K, Negative,
-                   Options);
-}
-
+/// The digit-span entry point: \p Digits (any base) followed by
+/// \p TrailingMarks insignificant positions.
 template <Sink Writer>
 void renderAutoInto(Writer &W, std::span<const uint8_t> Digits, int K,
                     int TrailingMarks, bool Negative,

@@ -11,7 +11,8 @@
 /// written once against this concept and the public surfaces differ only in
 /// where the bytes land:
 ///
-///   StringSink    toShortest/toFixed/formatPrintf: a growing std::string.
+///   StringSink    toShortest/toFixed/toPrecision/toExponential/formatPrintf:
+///                 a growing std::string.
 ///   BufferSink    engine::format and every StringTable batch slot: a
 ///                 bounded caller buffer with snprintf-like counting --
 ///                 bytes past the capacity are dropped but counted, so
@@ -21,8 +22,9 @@
 ///   StreamSink    engine::RecordStream: records appended to one contiguous
 ///                 caller-owned byte store (push-style streaming batches).
 ///   CountingSink  a pure measurer: dry-run length computation for sizing
-///                 decisions, and the cross-check harness the sink tests
-///                 use to prove written() agrees across sinks.
+///                 decisions (formatPrintf's field width), and the
+///                 cross-check harness the sink tests use to prove
+///                 written() agrees across sinks.
 ///
 /// Because the renderers are templates over the concept, the bytes cannot
 /// drift between surfaces: there is exactly one implementation of
@@ -57,7 +59,7 @@ concept Sink = requires(S &W, const S &CW, char C, size_t N,
   { CW.written() } -> std::convertible_to<size_t>;
 };
 
-/// Growing std::string storage (the toShortest/toFixed/printf surface).
+/// Growing std::string storage (the string API and printf surface).
 struct StringSink {
   std::string Out;
 

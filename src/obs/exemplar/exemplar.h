@@ -13,9 +13,8 @@
 ///    cell (the exemplar the Prometheus exporter attaches to the matching
 ///    dragon4_latency_ns series),
 ///  * keeps a bounded ring of recent *tail* captures -- a record is a tail
-///    event when its log2-latency bucket is within
-///    obs::Config::ExemplarMarginBuckets of the highest bucket that cell
-///    has ever seen, and
+///    event when its log2-latency bucket is within TailMarginBuckets of
+///    the highest bucket that cell has ever seen, and
 ///  * accumulates per-format workload-characterization histograms (digit
 ///    count and decimal-exponent magnitude) from every offered record,
 ///    tail or not.
@@ -67,6 +66,15 @@ struct ExemplarRecord {
   std::string optionsText() const;
 };
 
+/// Recent tail captures each per-thread reservoir keeps beside the
+/// per-{format, path} worst records.
+inline constexpr size_t TailRingCapacity = 64;
+
+/// A sampled conversion is captured as a tail exemplar when its
+/// log2-latency bucket is within this many buckets of the highest bucket
+/// its {format, path} cell has seen: 1 is within a factor of two.
+inline constexpr uint32_t TailMarginBuckets = 1;
+
 /// Lock-free (single-writer) worst-by-latency reservoir keyed by
 /// {format, path-class}, plus a bounded ring of recent tail captures and
 /// the per-format workload histograms.  merge() is commutative in the
@@ -76,7 +84,8 @@ class ExemplarReservoir {
 public:
   /// \p RingCapacity bounds the recent-capture ring; 0 keeps only the
   /// per-cell worst records.
-  explicit ExemplarReservoir(size_t RingCapacity = 64) : Ring(RingCapacity) {}
+  explicit ExemplarReservoir(size_t RingCapacity = TailRingCapacity)
+      : Ring(RingCapacity) {}
 
   /// Offers one sampled conversion.  Always feeds the workload histograms;
   /// captures into the worst cell / ring only when the record lands within

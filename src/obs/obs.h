@@ -64,33 +64,20 @@ struct Config {
   /// records.  Applied when a Scratch is constructed.
   uint32_t FlightCapacity = 64;
 
-  /// Dump the flight recorder to stderr whenever a conversion's output is
-  /// truncated (off by default: truncation is an expected outcome for
-  /// fixed-stride batch tables).
-  bool DumpOnTruncate = false;
-
   /// Dump the flight recorder to stderr when a verify oracle mismatch is
   /// recorded, up to MismatchDumpLimit dumps per thread (a mass failure --
   /// e.g. an injected bug over an exhaustive domain -- would otherwise
   /// flood stderr with near-identical context).
   bool DumpOnMismatch = true;
-  uint32_t MismatchDumpLimit = 3;
 
   /// Mismatch-flagged records are additionally retained outside the ring
   /// (up to this many per thread), so a post-sweep report can show every
   /// failing conversion even after passing conversions recycled the ring.
   uint32_t MismatchKeepLimit = 256;
-
-  /// Ring capacity of each per-thread tail-exemplar reservoir (recent
-  /// captures kept beside the per-{format, path} worst records).  Applied
-  /// when a Scratch is constructed; 0 keeps only the worst records.
-  uint32_t ExemplarRingCapacity = 64;
-
-  /// A sampled conversion is captured as a tail exemplar when its
-  /// log2-latency bucket is within this many buckets of the highest bucket
-  /// its {format, path} cell has seen (0 = only new high-water marks).
-  uint32_t ExemplarMarginBuckets = 1;
 };
+
+/// Flight-recorder dumps per thread under Config::DumpOnMismatch.
+inline constexpr uint32_t MismatchDumpLimit = 3;
 
 /// The mutable global config.  Tools write it once at startup.
 Config &config();

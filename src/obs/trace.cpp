@@ -162,7 +162,7 @@ void ObsState::finishConversion(const ConversionTrace &T, Path P,
     Ex.PathC = pathClassFor(P);
     Ex.OptionsBase = T.OptionsBase;
     Ex.OptionsMode = T.OptionsMode;
-    Exemplars.consider(Ex, config().ExemplarMarginBuckets);
+    Exemplars.consider(Ex, exemplar::TailMarginBuckets);
   }
 
   ConversionRecord Record;
@@ -181,20 +181,13 @@ void ObsState::finishConversion(const ConversionTrace &T, Path P,
     Spans.push_back(
         SpanEvent{SpanName, StartNanos, LatencyNanos, ThreadIndex, BitsLo});
 
-  if (Truncated && config().DumpOnTruncate) {
-    std::fprintf(stderr,
-                 "dragon4 obs: truncated conversion; flight recorder "
-                 "(newest last):\n%s",
-                 Recorder.dumpText().c_str());
-  }
-
   if (Mismatch) {
     if (MismatchKept.size() < config().MismatchKeepLimit) {
       // Keep the stamped copy (the ring assigned the sequence number).
       MismatchKept.push_back(Recorder.capacity() ? Recorder.recent(0)
                                                  : Record);
     }
-    if (config().DumpOnMismatch && MismatchDumps < config().MismatchDumpLimit) {
+    if (config().DumpOnMismatch && MismatchDumps < MismatchDumpLimit) {
       ++MismatchDumps;
       std::fprintf(stderr,
                    "dragon4 obs: verify mismatch; flight recorder "

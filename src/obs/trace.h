@@ -263,9 +263,7 @@ struct SpanEvent {
 /// scratchpad trace.  Single-writer, merged after workers join.
 class ObsState {
 public:
-  ObsState()
-      : Recorder(config().FlightCapacity),
-        Exemplars(config().ExemplarRingCapacity) {
+  ObsState() : Recorder(config().FlightCapacity) {
     Current.Reg = &Reg;
     Phases.bind(&Reg);
   }

@@ -301,7 +301,7 @@ ParseResult<T> parseFloat(std::string_view Text, engine::Scratch &S) {
       Ex.Fmt = FormatTraits<T>::Id;
       Ex.PathC = obs::PathClass::Parse;
       Ex.OptionsBase = 0;
-      Obs.Exemplars.consider(Ex, obs::config().ExemplarMarginBuckets);
+      Obs.Exemplars.consider(Ex, obs::exemplar::TailMarginBuckets);
     }
     return Result;
   }

@@ -198,6 +198,27 @@ TEST(EngineAlloc, FixedPathKeepsLimbsOnArenaWhenWarm) {
   EXPECT_EQ(limbHeapAllocCount() - LimbHeapBefore, 0u);
 }
 
+TEST(EngineAlloc, PrecisionSurfacesKeepLimbsOnArenaWhenWarm) {
+  std::vector<double> Values = randomNormalDoubles(256, 0xa110c007);
+  std::vector<double> Sub = randomSubnormalDoubles(64, 0xa110c008);
+  Values.insert(Values.end(), Sub.begin(), Sub.end());
+
+  // toPrecision and toExponential run on the calling thread's Scratch:
+  // once it is warm, every BigInt limb of the exact Section 4 path comes
+  // from its arena.  (The returned strings themselves are heap storage,
+  // so only the limb count is asserted.)
+  for (double V : Values) {
+    (void)toPrecision(V, 17);
+    (void)toExponential(V, 10);
+  }
+  uint64_t LimbHeapBefore = limbHeapAllocCount();
+  for (double V : Values) {
+    (void)toPrecision(V, 17);
+    (void)toExponential(V, 10);
+  }
+  EXPECT_EQ(limbHeapAllocCount() - LimbHeapBefore, 0u);
+}
+
 TEST(EngineAlloc, AbiToCharsAllocatesNothingWhenWarm) {
   // The C ABI's promise: after the thread-local scratch warms up, every
   // entry point is allocation-free -- shortest, fixed, both scratch

@@ -16,14 +16,18 @@
 //   RecordStream          (StreamSink)
 //   dragon4_to_chars      (C ABI over BufferSink)
 //
-// plus printf's string-vs-buffer pair on a randomized corpus.
+// plus printf's string-vs-buffer pair on a randomized corpus, and the
+// engine-routed precision surfaces (toPrecision, toExponential) against
+// the core-plus-renderer composition they replaced.
 //
 //===----------------------------------------------------------------------===//
 
 #include "dragon4.h"
+#include "format/option_maps.h"
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -206,6 +210,120 @@ TEST(SurfaceEquivalence, FixedSurfacesAgree) {
       ASSERT_EQ(std::string(Buf, AbiLen), Reference);
     }
   }
+}
+
+template <typename T> bool isFiniteNonZero(T Value) {
+  const FpClass Class = classify(Value);
+  return Class == FpClass::Normal || Class == FpClass::Subnormal;
+}
+
+/// toPrecision(v, n) and toExponential(v, n - 1) for every n in [1, 17]
+/// against the composition they used before they ran on the engine's
+/// fixed-format frame: the core Section 4 digits, rendered by the
+/// std::string renderers.  Both pieces stay in the public API, so the
+/// composition is the oracle.  Returns false after a gtest failure.
+template <typename T>
+bool precisionSurfacesMatch(T Value, uint32_t Bits,
+                            const PrintOptions &Options) {
+  const bool Negative = signBit(Value);
+  const RenderOptions Render = renderOptionsFrom(Options);
+  for (int N = 1; N <= 17; ++N) {
+    const DigitString D =
+        fixedDigitsRelative(Value, N, fixedOptionsFrom(Options));
+    EXPECT_EQ(toPrecision(Value, N, Options), renderAuto(D, Negative, Render))
+        << "toPrecision, bits 0x" << std::hex << Bits << std::dec
+        << " digits " << N << " base " << Options.Base;
+    EXPECT_EQ(toExponential(Value, N - 1, Options),
+              renderScientific(D, Negative, Render))
+        << "toExponential, bits 0x" << std::hex << Bits << std::dec
+        << " digits " << N << " base " << Options.Base;
+    if (::testing::Test::HasFailure())
+      return false;
+  }
+  return true;
+}
+
+/// The option variations the precision surfaces are swept under: both
+/// mark styles, every tie rule, and bases 2, 10 and 16.
+std::vector<PrintOptions> precisionOptionSets() {
+  std::vector<PrintOptions> Sets;
+  for (MarkStyle Marks : {MarkStyle::Hash, MarkStyle::Zeros})
+    for (TieBreak Ties :
+         {TieBreak::RoundUp, TieBreak::RoundEven, TieBreak::RoundDown})
+      for (unsigned Base : {2u, 10u, 16u}) {
+        PrintOptions Options;
+        Options.Marks = Marks;
+        Options.Ties = Ties;
+        Options.Base = Base;
+        if (Base > 14)
+          Options.ExponentMarker = '^';
+        Sets.push_back(Options);
+      }
+  return Sets;
+}
+
+/// Every binary16 encoding under the default options, a quarter of the
+/// encoding space per instance so the quarters run in parallel.
+class PrecisionSurfacesBinary16 : public ::testing::TestWithParam<uint32_t> {
+};
+
+TEST_P(PrecisionSurfacesBinary16, FullSpaceEqualsComposition) {
+  const PrintOptions Options;
+  const uint32_t First = GetParam() << 14;
+  for (uint32_t Bits = First; Bits < First + (1u << 14); ++Bits) {
+    const Binary16 Value = Binary16::fromBits(static_cast<uint16_t>(Bits));
+    if (!isFiniteNonZero(Value))
+      continue;
+    ASSERT_TRUE(precisionSurfacesMatch(Value, Bits, Options));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Quarters, PrecisionSurfacesBinary16,
+                         ::testing::Range(0u, 4u));
+
+TEST(PrecisionSurfaces, Binary16StridedOptionVariations) {
+  for (const PrintOptions &Options : precisionOptionSets()) {
+    for (uint32_t Bits = 1; Bits <= 0xffff; Bits += 61) {
+      const Binary16 Value = Binary16::fromBits(static_cast<uint16_t>(Bits));
+      if (!isFiniteNonZero(Value))
+        continue;
+      ASSERT_TRUE(precisionSurfacesMatch(Value, Bits, Options));
+    }
+  }
+}
+
+TEST(PrecisionSurfaces, StridedBinary32OptionVariations) {
+  for (const PrintOptions &Options : precisionOptionSets()) {
+    for (uint64_t Bits = 1; Bits < (1ull << 32); Bits += 10000019) {
+      const float Value =
+          FormatTraits<float>::fromEncoding(static_cast<uint32_t>(Bits), 0);
+      if (!isFiniteNonZero(Value))
+        continue;
+      ASSERT_TRUE(precisionSurfacesMatch(Value, static_cast<uint32_t>(Bits),
+                                         Options));
+    }
+  }
+}
+
+/// toPrecision and toExponential run on the calling thread's Scratch, so
+/// they are counted there like every other engine conversion.
+TEST(PrecisionSurfaces, ChargeTheThreadScratchStats) {
+  const eng::EngineStats Before = eng::threadScratch().stats();
+  EXPECT_EQ(toPrecision(1.0 / 3.0, 10), "0.3333333333");
+  EXPECT_EQ(toExponential(2.5f, 3), "2.500e+0");
+  EXPECT_EQ(toPrecision(-0.0, 3), "-0.00");
+  EXPECT_EQ(toExponential(std::numeric_limits<double>::infinity(), 2),
+            "inf");
+  const eng::EngineStats &After = eng::threadScratch().stats();
+  EXPECT_EQ(After.Conversions - Before.Conversions, 2u);
+  EXPECT_EQ(After.SlowPathDirect - Before.SlowPathDirect, 2u);
+  EXPECT_EQ(After.Specials - Before.Specials, 2u);
+  const auto Double = static_cast<int>(FormatId::Binary64);
+  const auto Float = static_cast<int>(FormatId::Binary32);
+  EXPECT_EQ(After.FormatConversions[Double] - Before.FormatConversions[Double],
+            1u);
+  EXPECT_EQ(After.FormatConversions[Float] - Before.FormatConversions[Float],
+            1u);
 }
 
 } // namespace

@@ -26,7 +26,12 @@
 ///   * parse agreement on binary32/64: the exact midpoint between the
 ///     value and its successor, and that midpoint cut to 20-40 digits
 ///     and moved one unit up or down in the last one, read through
-///     dragon4_from_chars bit-equal to std::from_chars.
+///     dragon4_from_chars bit-equal to std::from_chars;
+///   * the printf precision oracle on binary32/64: formatPrintf equals
+///     glibc snprintf under a random specification (flags "-+ 0#", width
+///     0-30, precision 0-20, e/E/f/F/g/G), and "%.{p}e" / "%.{p}f" equal
+///     std::to_chars(scientific / fixed, p) for every p in 0-17 -- two
+///     judges that share no code with the library.
 ///
 /// Same seed, same cases: a reported failure prints a one-line
 /// reproducer (format, bits, option bytes, case index).
@@ -213,6 +218,58 @@ void checkParseAgreement(const Reproducer &R, T Value) {
   }
 }
 
+/// The precision oracle on binary32/64: formatPrintf against two judges
+/// that share no code with the library.  glibc snprintf formats a random
+/// specification -- flags from "-+ 0#", width 0-30, precision 0-20, one
+/// of e/E/f/F/g/G -- and std::to_chars(scientific|fixed, p) formats every
+/// p in 0-17, which "%.{p}e" / "%.{p}f" must match.  binary32 is promoted
+/// to double for snprintf, as printf itself does.  The draws come from
+/// the case's bits and index, so a reproducer replays them.
+template <typename T>
+void checkPrecisionOracle(const Reproducer &R, T Value) {
+  // %f of a value near 1e308 runs past 330 characters.
+  char Want[512];
+  SplitMix64 Draw(R.Lo * 0x9E3779B97F4A7C15ull + R.CaseIndex);
+  std::string Spec = "%";
+  for (char Flag : {'-', '+', ' ', '0', '#'})
+    if (Draw.below(4) == 0)
+      Spec.push_back(Flag);
+  if (const uint64_t Width = Draw.below(31))
+    Spec += std::to_string(Width);
+  Spec += "." + std::to_string(Draw.below(21));
+  Spec.push_back("eEfFgG"[Draw.below(6)]);
+  const int Length = std::snprintf(Want, sizeof Want, Spec.c_str(),
+                                   static_cast<double>(Value));
+  std::string Got = formatPrintf(Value, Spec.c_str());
+  if (Length < 0 || static_cast<size_t>(Length) >= sizeof Want ||
+      Got != std::string(Want, static_cast<size_t>(Length))) {
+    reportFailure(R, ("formatPrintf vs snprintf, " + Spec).c_str(), Got,
+                  Want);
+    return;
+  }
+
+  for (int Precision = 0; Precision <= 17; ++Precision) {
+    for (std::chars_format Form :
+         {std::chars_format::scientific, std::chars_format::fixed}) {
+      const auto [End, Ec] =
+          std::to_chars(Want, Want + sizeof Want, Value, Form, Precision);
+      PrintfSpec Std;
+      Std.Conversion = Form == std::chars_format::fixed ? 'f' : 'e';
+      Std.Precision = Precision;
+      Got = formatPrintf(Value, Std);
+      if (Ec != std::errc() || Got != std::string(Want, End)) {
+        reportFailure(R,
+                      ("formatPrintf vs std::to_chars, %." +
+                       std::to_string(Precision) + Std.Conversion)
+                          .c_str(),
+                      Got, Ec == std::errc() ? std::string(Want, End)
+                                             : "<to_chars error>");
+        return;
+      }
+    }
+  }
+}
+
 template <typename T>
 void fuzzOne(const Reproducer &R, eng::Scratch &S) {
   T Value = FormatTraits<T>::fromEncoding(R.Lo, R.Hi);
@@ -323,6 +380,7 @@ void fuzzOne(const Reproducer &R, eng::Scratch &S) {
       return;
     }
     checkParseAgreement(R, Value);
+    checkPrecisionOracle(R, Value);
   }
 
   // The fixed surface (decimal only: toFixed's contract).
