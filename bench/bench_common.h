@@ -22,7 +22,12 @@
 /// Schema: {"schema": "dragon4.bench.v1", "bench": <name>, "context": {..},
 /// "metrics": {..}, "derived": {..}}.  "metrics" holds only comparable
 /// lower-is-better nanosecond costs (the gated surface); counts, ratios,
-/// and rates go in "derived"; "context" describes the run.
+/// and rates go in "derived"; "context" describes the run.  Every report's
+/// context carries two provenance stamps: "build_type" (the binary's
+/// CMAKE_BUILD_TYPE) and "revision" (`git rev-parse HEAD` of the source
+/// tree at run time, or "unavailable" outside a work tree), which
+/// bench_check.py uses to warn when a baseline no longer describes the
+/// code it gates.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -114,6 +119,39 @@ inline std::string jsonNumber(double Value) {
   return Buf;
 }
 
+/// The binary's CMAKE_BUILD_TYPE (set by bench/CMakeLists.txt).
+inline const char *buildType() {
+#ifdef DRAGON4_BUILD_TYPE
+  return DRAGON4_BUILD_TYPE[0] ? DRAGON4_BUILD_TYPE : "unspecified";
+#else
+  return "unspecified";
+#endif
+}
+
+/// `git rev-parse HEAD` of the source tree this binary was built from,
+/// read once per process; "unavailable" outside a work tree or without git.
+inline const std::string &sourceRevision() {
+  static const std::string Revision = [] {
+    std::string Command = "git ";
+#ifdef DRAGON4_SOURCE_DIR
+    Command += "-C '" DRAGON4_SOURCE_DIR "' ";
+#endif
+    Command += "rev-parse HEAD 2>/dev/null";
+    std::string Out;
+    if (std::FILE *Pipe = popen(Command.c_str(), "r")) {
+      char Buf[128];
+      while (std::fgets(Buf, sizeof(Buf), Pipe))
+        Out += Buf;
+      if (pclose(Pipe) != 0)
+        Out.clear();
+    }
+    while (!Out.empty() && (Out.back() == '\n' || Out.back() == '\r'))
+      Out.pop_back();
+    return Out.empty() ? std::string("unavailable") : Out;
+  }();
+  return Revision;
+}
+
 } // namespace detail
 
 /// One bench run's results, rendered as dragon4.bench.v1.  Metrics are
@@ -191,7 +229,12 @@ public:
     Field("bench", '"' + detail::jsonEscape(Bench) + '"');
     if (Timestamp)
       Field("unix_time", std::to_string(Timestamp));
-    Field("context", Object(Context));
+    std::vector<std::pair<std::string, std::string>> Stamped = Context;
+    Stamped.emplace_back("build_type",
+                         '"' + detail::jsonEscape(detail::buildType()) + '"');
+    Stamped.emplace_back(
+        "revision", '"' + detail::jsonEscape(detail::sourceRevision()) + '"');
+    Field("context", Object(Stamped));
     Field("metrics", Object(Metrics));
     Field("derived", Object(Derived), /*Last=*/true);
     Out += '}';

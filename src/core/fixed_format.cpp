@@ -25,81 +25,64 @@
 #include "core/digit_loop.h"
 #include "core/scaling.h"
 #include "fp/boundaries.h"
+#include "prof/phase.h"
 #include "support/checks.h"
 
-#include <bit>
+#include <algorithm>
 
 using namespace dragon4;
 
 namespace {
 
-/// The exact pre-scaling state for a fixed-format conversion at absolute
-/// position J, with the boundary distances expanded to the half-quantum
-/// where that is the larger range.
-struct FixedStart {
+/// Table-1 setup for absolute position \p J, with the boundary distances
+/// expanded to the half-quantum where that is the larger range, then the
+/// exact scale search from \p SeedK.  \p Flags receives the expanded
+/// boundary flags the digit loop needs.
+ScaledState scaleAtPosition(const BigInt &F, int E, int Precision,
+                            int MinExponent, unsigned B, BoundaryMode Mode,
+                            int J, int SeedK, BoundaryFlags &Flags) {
   ScaledStart Start;
-  BoundaryFlags Flags;
-  int SeedK; ///< Starting point for the exact scale search.
-};
+  {
+    D4_PROF_SPAN(ScaleSetup);
+    Start = makeScaledStartBig(F, E, Precision, MinExponent);
 
-FixedStart setupFixed(const BigInt &F, int E, int Precision,
-                      int MinExponent, unsigned B, BoundaryMode Mode,
-                      int J) {
-  FixedStart Setup;
-  Setup.Start = makeScaledStartBig(F, E, Precision, MinExponent);
-  ScaledStart &Start = Setup.Start;
+    // Express the half-quantum B^J / 2 over the common denominator.  Every
+    // Table 1 denominator carries a factor of two, so S/2 is exact;
+    // negative J rescales the whole (homogeneous) state instead of
+    // dividing.
+    BigInt HalfQuantum = Start.S;
+    HalfQuantum >>= 1;
+    if (J >= 0) {
+      HalfQuantum *= cachedPow(B, static_cast<unsigned>(J));
+    } else {
+      const BigInt &Rescale = cachedPow(B, static_cast<unsigned>(-J));
+      Start.R *= Rescale;
+      Start.S *= Rescale;
+      Start.MPlus *= Rescale;
+      Start.MMinus *= Rescale;
+    }
 
-  // Express the half-quantum B^J / 2 over the common denominator.  Every
-  // Table 1 denominator carries a factor of two, so S/2 is exact; negative
-  // J rescales the whole (homogeneous) state instead of dividing.
-  BigInt HalfQuantum = Start.S;
-  HalfQuantum >>= 1;
-  if (J >= 0) {
-    HalfQuantum *= cachedPow(B, static_cast<unsigned>(J));
-  } else {
-    const BigInt &Rescale = cachedPow(B, static_cast<unsigned>(-J));
-    Start.R *= Rescale;
-    Start.S *= Rescale;
-    Start.MPlus *= Rescale;
-    Start.MMinus *= Rescale;
+    Flags = BoundaryFlags::resolveEven(Mode, F.isEven());
+    if (HalfQuantum >= Start.MPlus) {
+      Start.MPlus = HalfQuantum;
+      Flags.HighOk = true;
+    }
+    if (HalfQuantum >= Start.MMinus) {
+      Start.MMinus = std::move(HalfQuantum);
+      Flags.LowOk = true;
+    }
   }
-
-  BoundaryFlags User = BoundaryFlags::resolveEven(Mode, F.isEven());
-  Setup.Flags = User;
-  if (HalfQuantum >= Start.MPlus) {
-    Start.MPlus = HalfQuantum;
-    Setup.Flags.HighOk = true;
-  }
-  if (HalfQuantum >= Start.MMinus) {
-    Start.MMinus = std::move(HalfQuantum);
-    Setup.Flags.LowOk = true;
-  }
-
-  // Seed the exact scale search near the answer: the value's own magnitude
-  // estimate, or the quantum's position, whichever dominates.
-  int BitLength = static_cast<int>(F.bitLength());
-  Setup.SeedK = std::max(estimateScale(E, BitLength, B), J);
-  return Setup;
+  return scaleIterative(std::move(Start), B, Flags, SeedK);
 }
 
-/// Computes just the exact scale factor K for position \p J (used by the
-/// relative-position iteration).
-int exactScaleFor(const BigInt &F, int E, int Precision, int MinExponent,
-                  unsigned B, BoundaryMode Mode, int J) {
-  FixedStart Setup = setupFixed(F, E, Precision, MinExponent, B, Mode, J);
-  ScaledState State =
-      scaleIterative(std::move(Setup.Start), B, Setup.Flags, Setup.SeedK);
-  return State.K;
-}
-
-/// Runs the conversion for absolute position \p J given a prepared setup.
-/// The loop runs in \p Loop and the result lands in \p Out, both with
-/// their digit storage cleared but capacity retained, so a warm caller
-/// allocates nothing.  \p Loop's BigInt tails are consumed in place.
-void convertAtPositionInto(FixedStart Setup, unsigned B, TieBreak Ties, int J,
-                           DigitLoopResult &Loop, DigitString &Out) {
-  ScaledState State =
-      scaleIterative(std::move(Setup.Start), B, Setup.Flags, Setup.SeedK);
+/// Runs the digit loop on a state scaled for absolute position \p J and
+/// fills from the stopping position down to J.  The loop runs in \p Loop
+/// and the result lands in \p Out, both with their digit storage cleared
+/// but capacity retained, so a warm caller allocates nothing.  \p Loop's
+/// BigInt tails are consumed in place.
+void finishAtPosition(ScaledState State, BoundaryFlags Flags, unsigned B,
+                      TieBreak Ties, int J, DigitLoopResult &Loop,
+                      DigitString &Out) {
   const int K = State.K;
 
   Out.Digits.clear();
@@ -115,7 +98,7 @@ void convertAtPositionInto(FixedStart Setup, unsigned B, TieBreak Ties, int J,
     return;
   }
 
-  runDigitLoopInto(std::move(State), B, Setup.Flags, Ties, Loop);
+  runDigitLoopInto(std::move(State), B, Flags, Ties, Loop);
   Out.Digits.assign(Loop.Digits.begin(), Loop.Digits.end());
   Out.K = K;
 
@@ -143,50 +126,47 @@ void convertAtPositionInto(FixedStart Setup, unsigned B, TieBreak Ties, int J,
   }
 }
 
-} // namespace
-
-DigitString dragon4::fixedFormatAbsoluteBig(const BigInt &F, int E,
-                                            int Precision, int MinExponent,
-                                            int Position,
-                                            const FixedFormatOptions &Options) {
-  DigitLoopResult Loop;
-  DigitString Result;
-  fixedFormatAbsoluteBigInto(F, E, Precision, MinExponent, Position, Options,
-                             Loop, Result);
-  return Result;
+/// The one Section 4 body.  An absolute request (\p NumDigits == 0) stops
+/// at \p Position.  A relative request stops at J = K - NumDigits, but the
+/// scale K depends on J through the expanded range, so each candidate K
+/// costs one setup and one exact scale until the scaled K equals the
+/// candidate.  The candidates start at the two-flop estimate, which never
+/// exceeds the free-format K, and every exact K is at least the
+/// free-format K and nondecreasing in J, so the sequence is nondecreasing
+/// and stops at the least fixed point.
+void convertInto(const BigInt &F, int E, int Precision, int MinExponent,
+                 int Position, int NumDigits,
+                 const FixedFormatOptions &Options, DigitLoopResult &Loop,
+                 DigitString &Out) {
+  D4_ASSERT(!F.isZero() && !F.isNegative(),
+            "fixed-format conversion requires a positive mantissa");
+  D4_ASSERT(Options.Base >= 2 && Options.Base <= 36, "base out of range");
+  const unsigned B = Options.Base;
+  int Candidate = estimateScale(E, static_cast<int>(F.bitLength()), B);
+  for (;;) {
+    const int J = NumDigits > 0 ? Candidate - NumDigits : Position;
+    BoundaryFlags Flags;
+    ScaledState State =
+        scaleAtPosition(F, E, Precision, MinExponent, B, Options.Boundaries,
+                        J, std::max(Candidate, J), Flags);
+    if (NumDigits > 0 && State.K != Candidate) {
+      D4_ASSERT(State.K > Candidate, "scale iteration must be nondecreasing");
+      Candidate = State.K;
+      continue;
+    }
+    finishAtPosition(std::move(State), Flags, B, Options.Ties, J, Loop, Out);
+    return;
+  }
 }
+
+} // namespace
 
 void dragon4::fixedFormatAbsoluteBigInto(const BigInt &F, int E, int Precision,
                                          int MinExponent, int Position,
                                          const FixedFormatOptions &Options,
                                          DigitLoopResult &Loop,
                                          DigitString &Out) {
-  D4_ASSERT(!F.isZero() && !F.isNegative(),
-            "fixed-format conversion requires a positive mantissa");
-  D4_ASSERT(Options.Base >= 2 && Options.Base <= 36, "base out of range");
-  FixedStart Setup = setupFixed(F, E, Precision, MinExponent, Options.Base,
-                                Options.Boundaries, Position);
-  convertAtPositionInto(std::move(Setup), Options.Base, Options.Ties, Position,
-                        Loop, Out);
-}
-
-DigitString dragon4::fixedFormatAbsolute(uint64_t F, int E, int Precision,
-                                         int MinExponent, int Position,
-                                         const FixedFormatOptions &Options) {
-  D4_ASSERT(F > 0, "fixed-format conversion requires a positive mantissa");
-  return fixedFormatAbsoluteBig(BigInt(F), E, Precision, MinExponent,
-                                Position, Options);
-}
-
-DigitString dragon4::fixedFormatRelativeBig(const BigInt &F, int E,
-                                            int Precision, int MinExponent,
-                                            int NumDigits,
-                                            const FixedFormatOptions &Options) {
-  DigitLoopResult Loop;
-  DigitString Result;
-  fixedFormatRelativeBigInto(F, E, Precision, MinExponent, NumDigits, Options,
-                             Loop, Result);
-  return Result;
+  convertInto(F, E, Precision, MinExponent, Position, 0, Options, Loop, Out);
 }
 
 void dragon4::fixedFormatRelativeBigInto(const BigInt &F, int E, int Precision,
@@ -194,44 +174,16 @@ void dragon4::fixedFormatRelativeBigInto(const BigInt &F, int E, int Precision,
                                          const FixedFormatOptions &Options,
                                          DigitLoopResult &Loop,
                                          DigitString &Out) {
-  D4_ASSERT(!F.isZero() && !F.isNegative(),
-            "fixed-format conversion requires a positive mantissa");
   D4_ASSERT(NumDigits >= 1, "at least one digit must be requested");
-  D4_ASSERT(Options.Base >= 2 && Options.Base <= 36, "base out of range");
-  const unsigned B = Options.Base;
-
-  // The scale factor depends on the absolute position J = K - NumDigits,
-  // which depends on the scale factor.  Iterate to the fixed point: the
-  // candidate sequence is nondecreasing and gains at most one, so this
-  // settles after at most two exact evaluations (see tests for the 9.995
-  // style carry cases that need the second round).
-  BoundaryFlags FreeFlags =
-      BoundaryFlags::resolveEven(Options.Boundaries, F.isEven());
-  int BitLength = static_cast<int>(F.bitLength());
-  ScaledState FreeState =
-      scaleIterative(makeScaledStartBig(F, E, Precision, MinExponent), B,
-                     FreeFlags, estimateScale(E, BitLength, B));
-  int Candidate = FreeState.K;
-  for (int Round = 0; Round < 4; ++Round) {
-    int J = Candidate - NumDigits;
-    int Exact = exactScaleFor(F, E, Precision, MinExponent, B,
-                              Options.Boundaries, J);
-    if (Exact == Candidate) {
-      FixedStart Setup =
-          setupFixed(F, E, Precision, MinExponent, B, Options.Boundaries, J);
-      convertAtPositionInto(std::move(Setup), B, Options.Ties, J, Loop, Out);
-      return;
-    }
-    D4_ASSERT(Exact > Candidate, "scale iteration must be nondecreasing");
-    Candidate = Exact;
-  }
-  unreachable("relative-position scale iteration failed to converge");
+  convertInto(F, E, Precision, MinExponent, 0, NumDigits, Options, Loop, Out);
 }
 
-DigitString dragon4::fixedFormatRelative(uint64_t F, int E, int Precision,
-                                         int MinExponent, int NumDigits,
+DigitString dragon4::fixedFormatAbsolute(uint64_t F, int E, int Precision,
+                                         int MinExponent, int Position,
                                          const FixedFormatOptions &Options) {
-  D4_ASSERT(F > 0, "fixed-format conversion requires a positive mantissa");
-  return fixedFormatRelativeBig(BigInt(F), E, Precision, MinExponent,
-                                NumDigits, Options);
+  DigitLoopResult Loop;
+  DigitString Result;
+  fixedFormatAbsoluteBigInto(BigInt(F), E, Precision, MinExponent, Position,
+                             Options, Loop, Result);
+  return Result;
 }

@@ -17,6 +17,14 @@
 ///    Position = -2 prints to two places after the radix point);
 ///  * relative digit position: "print NumDigits significant digits".
 ///
+/// Both run one body on a BigInt mantissa: Table-1 setup expanded to the
+/// position's half-quantum, one exact scale, the digit loop, the zero and
+/// '#' fill.  A relative request repeats setup and scale once per
+/// candidate scale factor, from the two-flop estimate up to the first K
+/// with K = J + NumDigits; the scaled state of that last round feeds the
+/// digit loop directly.  The *Into functions are the entry points; every
+/// other function here wraps one of them.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DRAGON4_CORE_FIXED_FORMAT_H
@@ -48,26 +56,14 @@ DigitString fixedFormatAbsolute(uint64_t F, int E, int Precision,
                                 int MinExponent, int Position,
                                 const FixedFormatOptions &Options = {});
 
-/// Converts the positive value F * 2^E to exactly \p NumDigits base-B
-/// digit positions (digits plus marks), NumDigits >= 1.
-DigitString fixedFormatRelative(uint64_t F, int E, int Precision,
-                                int MinExponent, int NumDigits,
-                                const FixedFormatOptions &Options = {});
-
-/// Wide-mantissa generalizations (binary128 and friends).
-DigitString fixedFormatAbsoluteBig(const BigInt &F, int E, int Precision,
-                                   int MinExponent, int Position,
-                                   const FixedFormatOptions &Options = {});
-DigitString fixedFormatRelativeBig(const BigInt &F, int E, int Precision,
-                                   int MinExponent, int NumDigits,
-                                   const FixedFormatOptions &Options = {});
-
-/// Zero-allocation variants, mirroring runDigitLoopInto: the loop runs in
-/// \p Loop and the result lands in \p Out, both caller-owned with their
-/// digit storage cleared but capacity kept.  With a limb arena active and
-/// both warm, the conversion performs no heap traffic.  \p Loop's BigInt
-/// tails are consumed in place; it holds nothing meaningful afterwards.
-/// The by-value functions above are wrappers over these.
+/// Zero-allocation forms over a BigInt mantissa (any width), mirroring
+/// runDigitLoopInto: the loop runs in \p Loop and the result lands in
+/// \p Out, both caller-owned with their digit storage cleared but capacity
+/// kept.  With a limb arena active and both warm, the conversion performs
+/// no heap traffic.  \p Loop's BigInt tails are consumed in place; it
+/// holds nothing meaningful afterwards.  The relative form produces
+/// exactly \p NumDigits base-B digit positions (digits plus marks),
+/// NumDigits >= 1.
 void fixedFormatAbsoluteBigInto(const BigInt &F, int E, int Precision,
                                 int MinExponent, int Position,
                                 const FixedFormatOptions &Options,
@@ -77,26 +73,10 @@ void fixedFormatRelativeBigInto(const BigInt &F, int E, int Precision,
                                 const FixedFormatOptions &Options,
                                 DigitLoopResult &Loop, DigitString &Out);
 
-/// Absolute-position conversion for a finite non-zero IEEE value
-/// (magnitude only; rendering attaches the sign).  Wide-significand
-/// formats route through their decomposeBig overload (found by ADL).
-template <typename T>
-DigitString fixedDigitsAbsolute(T Value, int Position,
-                                const FixedFormatOptions &Options = {}) {
-  using Traits = IeeeTraits<T>;
-  if constexpr (Traits::Precision > 64) {
-    auto D = decomposeBig(Value);
-    return fixedFormatAbsoluteBig(D.F, D.E, Traits::Precision,
-                                  Traits::MinExponent, Position, Options);
-  } else {
-    Decomposed D = decompose(Value);
-    return fixedFormatAbsolute(D.F, D.E, Traits::Precision,
-                               Traits::MinExponent, Position, Options);
-  }
-}
-
 /// Zero-allocation absolute-position conversion for a finite non-zero
-/// IEEE value; see fixedFormatAbsoluteBigInto for the storage contract.
+/// IEEE value (magnitude only; rendering attaches the sign); see
+/// fixedFormatAbsoluteBigInto for the storage contract.  Wide-significand
+/// formats route through their decomposeBig overload (found by ADL).
 template <typename T>
 void fixedDigitsAbsoluteInto(T Value, int Position,
                              const FixedFormatOptions &Options,
@@ -135,20 +115,24 @@ void fixedDigitsRelativeInto(T Value, int NumDigits,
   }
 }
 
+/// Absolute-position conversion for a finite non-zero IEEE value.
+template <typename T>
+DigitString fixedDigitsAbsolute(T Value, int Position,
+                                const FixedFormatOptions &Options = {}) {
+  DigitLoopResult Loop;
+  DigitString Out;
+  fixedDigitsAbsoluteInto(Value, Position, Options, Loop, Out);
+  return Out;
+}
+
 /// Relative-position conversion for a finite non-zero IEEE value.
 template <typename T>
 DigitString fixedDigitsRelative(T Value, int NumDigits,
                                 const FixedFormatOptions &Options = {}) {
-  using Traits = IeeeTraits<T>;
-  if constexpr (Traits::Precision > 64) {
-    auto D = decomposeBig(Value);
-    return fixedFormatRelativeBig(D.F, D.E, Traits::Precision,
-                                  Traits::MinExponent, NumDigits, Options);
-  } else {
-    Decomposed D = decompose(Value);
-    return fixedFormatRelative(D.F, D.E, Traits::Precision,
-                               Traits::MinExponent, NumDigits, Options);
-  }
+  DigitLoopResult Loop;
+  DigitString Out;
+  fixedDigitsRelativeInto(Value, NumDigits, Options, Loop, Out);
+  return Out;
 }
 
 } // namespace dragon4

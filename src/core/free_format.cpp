@@ -12,60 +12,30 @@
 #include "prof/phase.h"
 #include "support/checks.h"
 
-#include <bit>
-
 using namespace dragon4;
 
 namespace {
 
-/// Table-1 initial values under the ScaleSetup phase (the scale() branches
-/// open their own Estimator/ScaleSetup/Fixup spans).
-ScaledStart profiledStart(uint64_t F, int E, int Precision, int MinExponent) {
-  D4_PROF_SPAN(ScaleSetup);
-  return makeScaledStart(F, E, Precision, MinExponent);
-}
-
-/// Shared tail: run the loop and package the digits.
-DigitString finishFreeFormat(ScaledState State, const FreeFormatOptions &O,
-                             BoundaryFlags Flags) {
-  const int K = State.K;
-  DigitLoopResult Loop = runDigitLoop(std::move(State), O.Base, Flags, O.Ties);
-  DigitString Result;
-  Result.Digits = std::move(Loop.Digits);
-  Result.K = K;
-  D4_ASSERT(!Result.Digits.empty() && Result.Digits.front() != 0,
-            "free-format output must start with a non-zero digit");
-  return Result;
-}
-
-} // namespace
-
-DigitString dragon4::freeFormatDigits(uint64_t F, int E, int Precision,
-                                      int MinExponent,
-                                      const FreeFormatOptions &Options) {
-  D4_ASSERT(F > 0, "free-format conversion requires a positive mantissa");
+/// The one free-format body: Table-1 setup, scale, digit loop.  \p ApproxF
+/// is F rounded to double (only the FloatLog strategy reads it).  Returns
+/// the scale factor K.
+int convertInto(const BigInt &F, double ApproxF, int E, int Precision,
+                int MinExponent, const FreeFormatOptions &Options,
+                DigitLoopResult &Out) {
+  D4_ASSERT(!F.isZero() && !F.isNegative(),
+            "free-format conversion requires a positive mantissa");
   D4_ASSERT(Options.Base >= 2 && Options.Base <= 36, "base out of range");
 
-  BoundaryFlags Flags = BoundaryFlags::resolve(Options.Boundaries, F);
-  ScaledStart Start = profiledStart(F, E, Precision, MinExponent);
-  int BitLength = 64 - std::countl_zero(F);
-  ScaledState State = scale(std::move(Start), Options.Base, Flags,
-                            Options.Scaling, F, E, BitLength);
-  return finishFreeFormat(std::move(State), Options, Flags);
-}
-
-int dragon4::freeFormatDigitsInto(uint64_t F, int E, int Precision,
-                                  int MinExponent,
-                                  const FreeFormatOptions &Options,
-                                  DigitLoopResult &Out) {
-  D4_ASSERT(F > 0, "free-format conversion requires a positive mantissa");
-  D4_ASSERT(Options.Base >= 2 && Options.Base <= 36, "base out of range");
-
-  BoundaryFlags Flags = BoundaryFlags::resolve(Options.Boundaries, F);
-  ScaledStart Start = profiledStart(F, E, Precision, MinExponent);
-  int BitLength = 64 - std::countl_zero(F);
-  ScaledState State = scale(std::move(Start), Options.Base, Flags,
-                            Options.Scaling, F, E, BitLength);
+  BoundaryFlags Flags =
+      BoundaryFlags::resolveEven(Options.Boundaries, F.isEven());
+  // The scale() branches open their own Estimator/ScaleSetup/Fixup spans.
+  ScaledStart Start = [&] {
+    D4_PROF_SPAN(ScaleSetup);
+    return makeScaledStartBig(F, E, Precision, MinExponent);
+  }();
+  ScaledState State =
+      scale(std::move(Start), Options.Base, Flags, Options.Scaling, ApproxF,
+            E, static_cast<int>(F.bitLength()));
   const int K = State.K;
   runDigitLoopInto(std::move(State), Options.Base, Flags, Options.Ties, Out);
   D4_ASSERT(!Out.Digits.empty() && Out.Digits.front() != 0,
@@ -73,44 +43,43 @@ int dragon4::freeFormatDigitsInto(uint64_t F, int E, int Precision,
   return K;
 }
 
-DigitString dragon4::freeFormatDigitsBig(const BigInt &F, int E,
-                                         int Precision, int MinExponent,
-                                         const FreeFormatOptions &Options) {
-  D4_ASSERT(!F.isZero() && !F.isNegative(),
-            "free-format conversion requires a positive mantissa");
-  D4_ASSERT(Options.Base >= 2 && Options.Base <= 36, "base out of range");
+DigitString collect(DigitLoopResult &&Loop, int K) {
+  DigitString Result;
+  Result.Digits = std::move(Loop.Digits);
+  Result.K = K;
+  return Result;
+}
 
-  BoundaryFlags Flags =
-      BoundaryFlags::resolveEven(Options.Boundaries, F.isEven());
-  ScaledStart Start = makeScaledStartBig(F, E, Precision, MinExponent);
-  int BitLength = static_cast<int>(F.bitLength());
-  ScaledState State =
-      scaleBig(std::move(Start), Options.Base, Flags, Options.Scaling,
-               F.toDouble(), E, BitLength);
-  return finishFreeFormat(std::move(State), Options, Flags);
+} // namespace
+
+int dragon4::freeFormatDigitsInto(uint64_t F, int E, int Precision,
+                                  int MinExponent,
+                                  const FreeFormatOptions &Options,
+                                  DigitLoopResult &Out) {
+  return convertInto(BigInt(F), static_cast<double>(F), E, Precision,
+                     MinExponent, Options, Out);
 }
 
 int dragon4::freeFormatDigitsBigInto(const BigInt &F, int E, int Precision,
                                      int MinExponent,
                                      const FreeFormatOptions &Options,
                                      DigitLoopResult &Out) {
-  D4_ASSERT(!F.isZero() && !F.isNegative(),
-            "free-format conversion requires a positive mantissa");
-  D4_ASSERT(Options.Base >= 2 && Options.Base <= 36, "base out of range");
+  return convertInto(F, F.toDouble(), E, Precision, MinExponent, Options,
+                     Out);
+}
 
-  BoundaryFlags Flags =
-      BoundaryFlags::resolveEven(Options.Boundaries, F.isEven());
-  ScaledStart Start = [&] {
-    D4_PROF_SPAN(ScaleSetup);
-    return makeScaledStartBig(F, E, Precision, MinExponent);
-  }();
-  int BitLength = static_cast<int>(F.bitLength());
-  ScaledState State =
-      scaleBig(std::move(Start), Options.Base, Flags, Options.Scaling,
-               F.toDouble(), E, BitLength);
-  const int K = State.K;
-  runDigitLoopInto(std::move(State), Options.Base, Flags, Options.Ties, Out);
-  D4_ASSERT(!Out.Digits.empty() && Out.Digits.front() != 0,
-            "free-format output must start with a non-zero digit");
-  return K;
+DigitString dragon4::freeFormatDigits(uint64_t F, int E, int Precision,
+                                      int MinExponent,
+                                      const FreeFormatOptions &Options) {
+  DigitLoopResult Loop;
+  int K = freeFormatDigitsInto(F, E, Precision, MinExponent, Options, Loop);
+  return collect(std::move(Loop), K);
+}
+
+DigitString dragon4::freeFormatDigitsBig(const BigInt &F, int E,
+                                         int Precision, int MinExponent,
+                                         const FreeFormatOptions &Options) {
+  DigitLoopResult Loop;
+  int K = freeFormatDigitsBigInto(F, E, Precision, MinExponent, Options, Loop);
+  return collect(std::move(Loop), K);
 }

@@ -8,6 +8,11 @@
 /// Free-format output (Sections 2-3 of the paper): the shortest, correctly
 /// rounded base-B digit string that reads back as exactly the input value.
 ///
+/// One body does the work -- Table-1 setup, `scale` under the chosen
+/// Table-2 strategy, the digit loop -- on a BigInt mantissa.  The four
+/// entry points below (64-bit or BigInt mantissa, by value or into a
+/// caller-owned loop result) are thin wrappers over it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DRAGON4_CORE_FREE_FORMAT_H
@@ -48,7 +53,8 @@ DigitString freeFormatDigitsBig(const BigInt &F, int E, int Precision,
 /// Engine entry point: the same conversion, written into a caller-owned
 /// loop result whose digit storage is reused across calls.  Returns the
 /// scale factor K (the digits in \p Out satisfy v = 0.d1...dn * B^K).
-/// With a limb arena active and \p Out warm this allocates nothing.
+/// With a limb arena active and \p Out warm this allocates nothing; the
+/// by-value forms above wrap these.
 int freeFormatDigitsInto(uint64_t F, int E, int Precision, int MinExponent,
                          const FreeFormatOptions &Options,
                          DigitLoopResult &Out);

@@ -91,10 +91,7 @@ int dragon4::estimateScale(int E, int MantissaBitLength, unsigned B) {
   return static_cast<int>(std::ceil(Log - EstimateFudge));
 }
 
-namespace {
-
-/// Shared core of the float-log estimate over an approximate mantissa.
-int estimateFloatLogApprox(double ApproxF, int E, unsigned B) {
+int dragon4::estimateScaleFloatLog(double ApproxF, int E, unsigned B) {
   D4_ASSERT(ApproxF > 0, "logarithm estimate of a non-positive value");
   // ln(F * 2^E) = ln F + E ln 2, evaluated in double precision.  The
   // error of the sum stays far below the fudge constant even at the
@@ -103,12 +100,6 @@ int estimateFloatLogApprox(double ApproxF, int E, unsigned B) {
                 static_cast<double>(E) * 0.6931471805599453) *
                invLnOf(B);
   return static_cast<int>(std::ceil(Log - EstimateFudge));
-}
-
-} // namespace
-
-int dragon4::estimateScaleFloatLog(uint64_t F, int E, unsigned B) {
-  return estimateFloatLogApprox(static_cast<double>(F), E, B);
 }
 
 ScaledState dragon4::scaleIterative(ScaledStart Start, unsigned B,
@@ -138,11 +129,12 @@ ScaledState dragon4::scaleIterative(ScaledStart Start, unsigned B,
 }
 
 ScaledState dragon4::scaleFloatLog(ScaledStart Start, unsigned B,
-                                   BoundaryFlags Flags, uint64_t F, int E) {
+                                   BoundaryFlags Flags, double ApproxF,
+                                   int E) {
   int Est;
   {
     D4_PROF_SPAN(Estimator);
-    Est = estimateScaleFloatLog(F, E, B);
+    Est = estimateScaleFloatLog(ApproxF, E, B);
   }
   {
     D4_PROF_SPAN(ScaleSetup);
@@ -196,48 +188,13 @@ ScaledState dragon4::scaleEstimate(ScaledStart Start, unsigned B,
 }
 
 ScaledState dragon4::scale(ScaledStart Start, unsigned B, BoundaryFlags Flags,
-                           ScalingAlgorithm Algorithm, uint64_t F, int E,
+                           ScalingAlgorithm Algorithm, double ApproxF, int E,
                            int MantissaBitLength) {
   switch (Algorithm) {
   case ScalingAlgorithm::Iterative:
     return scaleIterative(std::move(Start), B, Flags);
   case ScalingAlgorithm::FloatLog:
-    return scaleFloatLog(std::move(Start), B, Flags, F, E);
-  case ScalingAlgorithm::Estimate:
-    return scaleEstimate(std::move(Start), B, Flags, E, MantissaBitLength);
-  }
-  unreachable("unknown scaling algorithm");
-}
-
-ScaledState dragon4::scaleBig(ScaledStart Start, unsigned B,
-                              BoundaryFlags Flags, ScalingAlgorithm Algorithm,
-                              double ApproxF, int E, int MantissaBitLength) {
-  switch (Algorithm) {
-  case ScalingAlgorithm::Iterative:
-    return scaleIterative(std::move(Start), B, Flags);
-  case ScalingAlgorithm::FloatLog: {
-    int Est;
-    {
-      D4_PROF_SPAN(Estimator);
-      Est = estimateFloatLogApprox(ApproxF, E, B);
-    }
-    {
-      D4_PROF_SPAN(ScaleSetup);
-      applyScale(Start, B, Est);
-    }
-    bool Fixup;
-    {
-      D4_PROF_SPAN(Fixup);
-      Fixup = scaleTooLow(Start, Flags);
-      if (Fixup)
-        Start.S.mulSmall(B);
-    }
-    if (auto *T = obs::activeTrace())
-      T->noteScale(obs::ScaleBranch::FloatLog, Est, Est + (Fixup ? 1 : 0),
-                   Fixup ? 1 : 0);
-    D4_PROF_SPAN(ScaleSetup);
-    return preMultiplied(std::move(Start), B, Fixup ? Est + 1 : Est);
-  }
+    return scaleFloatLog(std::move(Start), B, Flags, ApproxF, E);
   case ScalingAlgorithm::Estimate:
     return scaleEstimate(std::move(Start), B, Flags, E, MantissaBitLength);
   }

@@ -26,6 +26,13 @@
 /// factor is a no-op -- which is exactly the property the free fixup
 /// exploits.
 ///
+/// The state is BigInt whatever the mantissa width, so one dispatch,
+/// `scale`, serves 64-bit and wider mantissas alike; only FloatLog reads
+/// the mantissa itself, as a double.  Fixed-format output (Section 4)
+/// calls scaleIterative directly, seeded at the two-flop estimate or at
+/// the candidate scale of a relative request, because its expanded range
+/// can put k anywhere above the free-format scale.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DRAGON4_CORE_SCALING_H
@@ -56,10 +63,12 @@ int estimateScale(int E, int MantissaBitLength, unsigned B);
 
 /// Figure 2's estimator: ceil(log_B(v) - 1e-10) for v = F * 2^E, computed
 /// with the C library logarithm as log(F) + E*log(2) (so it works for
-/// values outside the double range, e.g. 80-bit extendeds).  The
-/// accumulated floating-point error stays orders of magnitude below the
-/// subtracted fudge constant, so the estimate never overshoots k.
-int estimateScaleFloatLog(uint64_t F, int E, unsigned B);
+/// values outside the double range, e.g. 80-bit extendeds).  \p ApproxF is
+/// the mantissa rounded to double, exact for mantissas of up to 53 bits;
+/// the accumulated floating-point error, rounding included, stays orders
+/// of magnitude below the subtracted fudge constant, so the estimate never
+/// overshoots k.
+int estimateScaleFloatLog(double ApproxF, int E, unsigned B);
 
 /// Steele & White's iterative scaling, generalized to start the search at
 /// \p InitialK (0 reproduces Figure 1; the fixed-format path seeds it with
@@ -70,23 +79,19 @@ ScaledState scaleIterative(ScaledStart Start, unsigned B, BoundaryFlags Flags,
 /// Figure 2: float-log estimate plus a fixup that multiplies S by B when
 /// the estimate was one low.
 ScaledState scaleFloatLog(ScaledStart Start, unsigned B, BoundaryFlags Flags,
-                          uint64_t F, int E);
+                          double ApproxF, int E);
 
 /// Figure 3: the fast estimator with the restructured, free fixup.
 ScaledState scaleEstimate(ScaledStart Start, unsigned B, BoundaryFlags Flags,
                           int E, int MantissaBitLength);
 
-/// Dispatches on \p Algorithm for the value F * 2^E.
+/// Dispatches on \p Algorithm for the value F * 2^E, where \p ApproxF is
+/// F rounded to double (read only by FloatLog) and \p MantissaBitLength is
+/// F's bit length (read only by Estimate).  One dispatch serves every
+/// mantissa width.
 ScaledState scale(ScaledStart Start, unsigned B, BoundaryFlags Flags,
-                  ScalingAlgorithm Algorithm, uint64_t F, int E,
+                  ScalingAlgorithm Algorithm, double ApproxF, int E,
                   int MantissaBitLength);
-
-/// Dispatch for mantissas wider than 64 bits; \p ApproxF is the mantissa
-/// rounded to double (only consulted by the FloatLog strategy, whose
-/// estimate tolerates far larger errors than the rounding introduces).
-ScaledState scaleBig(ScaledStart Start, unsigned B, BoundaryFlags Flags,
-                     ScalingAlgorithm Algorithm, double ApproxF, int E,
-                     int MantissaBitLength);
 
 } // namespace dragon4
 

@@ -13,6 +13,7 @@
 #include "support/checks.h"
 
 #include <algorithm>
+#include <climits>
 #include <span>
 
 using namespace dragon4;
@@ -121,6 +122,19 @@ void printfInto(W &Out, T Value, const PrintfSpec &Spec) {
   });
 }
 
+/// Reads a decimal width or precision field.  A field past INT_MAX is
+/// malformed, as C printf fails there too (EOVERFLOW).
+int parseField(const char *&P) {
+  int Value = 0;
+  while (*P >= '0' && *P <= '9') {
+    const int Digit = *P++ - '0';
+    D4_ASSERT(Value <= (INT_MAX - Digit) / 10,
+              "malformed printf specification");
+    Value = Value * 10 + Digit;
+  }
+  return Value;
+}
+
 PrintfSpec parseSpec(const char *Spec) {
   D4_ASSERT(Spec && *Spec, "empty printf specification");
   PrintfSpec Parsed;
@@ -141,13 +155,10 @@ PrintfSpec parseSpec(const char *Spec) {
     else
       break;
   }
-  while (*P >= '0' && *P <= '9')
-    Parsed.Width = Parsed.Width * 10 + (*P++ - '0');
+  Parsed.Width = parseField(P);
   if (*P == '.') {
     ++P;
-    Parsed.Precision = 0;
-    while (*P >= '0' && *P <= '9')
-      Parsed.Precision = Parsed.Precision * 10 + (*P++ - '0');
+    Parsed.Precision = parseField(P);
   }
   D4_ASSERT(*P && P[1] == '\0', "malformed printf specification");
   Parsed.Conversion = *P;

@@ -18,10 +18,12 @@ ScaledStart dragon4::makeScaledStartBig(const BigInt &F, int E, int Precision,
   D4_ASSERT(E >= MinExponent, "exponent below the format minimum");
 
   // Is v's predecessor gap narrower?  True exactly when f is the smallest
-  // normalized mantissa and the exponent can still be lowered.
-  const BigInt PowPMinus1 =
-      BigInt::pow(InputBase, static_cast<unsigned>(Precision - 1));
-  const bool NarrowBelow = F == PowPMinus1 && E > MinExponent;
+  // normalized mantissa and the exponent can still be lowered.  Compare
+  // before any other cachedPow fetch: growing the cache reallocates its
+  // backing vector, so the b^(p-1) reference dies at the next fetch.
+  const bool NarrowBelow =
+      E > MinExponent &&
+      F == cachedPow(InputBase, static_cast<unsigned>(Precision - 1));
 
   ScaledStart Start;
   if (E >= 0) {

@@ -9,17 +9,23 @@
 /// insignificant positions, carry propagation when rounding at absolute
 /// and relative positions -- including the all-nines carry-out that grows
 /// a new leading digit -- and digit-for-digit agreement with the
-/// rational-arithmetic reference implementation across a targeted grid.
+/// rational-arithmetic reference implementation across a targeted grid and
+/// the whole positive binary16 range.  Relative (significant-digit) output
+/// is checked against a fixed point found by the reference alone, so a
+/// wrong but self-consistent scale cannot pass.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/fixed_format.h"
 
 #include "core/reference.h"
+#include "fp/binary16.h"
 #include "fp/ieee_traits.h"
 #include "testgen/random_floats.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 using namespace dragon4;
 
@@ -36,6 +42,62 @@ std::string fixedRel(double V, int NumDigits,
   DigitString D = fixedDigitsRelative(V, NumDigits, Options);
   return D.digitsAsText() + "@" + std::to_string(D.K);
 }
+
+/// The rational reference's fixed-format outputs for one value, memoized
+/// by position so a sweep over digit counts pays for each position once.
+class ReferenceFixed {
+public:
+  ReferenceFixed(uint64_t F, int E, int Precision, int MinExponent,
+                 const FixedFormatOptions &Options)
+      : F(F), E(E), Precision(Precision), MinExponent(MinExponent),
+        Options(Options),
+        Flags(BoundaryFlags::resolve(Options.Boundaries, F)),
+        FreeK(referenceFreeFormat(F, E, Precision, MinExponent, Options.Base,
+                                  Flags, Options.Ties)
+                  .K) {}
+
+  /// The reference's output at absolute position \p J.
+  const DigitString &absolute(int J) {
+    auto It = ByPosition.find(J);
+    if (It == ByPosition.end())
+      It = ByPosition
+               .emplace(J, referenceFixedFormat(F, E, Precision, MinExponent,
+                                                Options.Base, Flags,
+                                                Options.Ties, J))
+               .first;
+    return It->second;
+  }
+
+  /// Relative output by the reference alone: the least fixed point of
+  /// K -> K(J = K - NumDigits), where K(J) is the scale of absolute(J),
+  /// started at the reference's free-format K.  The candidates only grow;
+  /// a shrinking one is reported as a failure (and ends the search)
+  /// rather than looping.
+  DigitString relative(int NumDigits) {
+    int K = FreeK;
+    for (;;) {
+      const int J = K - NumDigits;
+      const DigitString &Ref = absolute(J);
+      if (Ref.K == J + NumDigits)
+        return Ref;
+      EXPECT_GT(Ref.K, K) << "reference scale fell from " << K << " at J="
+                          << J;
+      if (Ref.K <= K)
+        return Ref;
+      K = Ref.K;
+    }
+  }
+
+private:
+  uint64_t F;
+  int E;
+  int Precision;
+  int MinExponent;
+  FixedFormatOptions Options;
+  BoundaryFlags Flags;
+  int FreeK;
+  std::map<int, DigitString> ByPosition;
+};
 
 // --- '#' insignificant-position marking ---------------------------------
 
@@ -145,17 +207,45 @@ TEST(FixedConformance, AgreesWithReferenceOnGrid) {
   FixedFormatOptions Options;
   for (double V : Values) {
     Decomposed D = decompose(V);
-    BoundaryFlags Flags =
-        BoundaryFlags::resolve(Options.Boundaries, D.F);
+    ReferenceFixed Reference(D.F, D.E, IeeeTraits<double>::Precision,
+                             IeeeTraits<double>::MinExponent, Options);
     for (int Position : {-20, -10, -2, -1, 0, 1, 5}) {
       DigitString Fast = fixedDigitsAbsolute(V, Position, Options);
-      DigitString Ref = referenceFixedFormat(
-          D.F, D.E, IeeeTraits<double>::Precision,
-          IeeeTraits<double>::MinExponent, Options.Base, Flags,
-          Options.Ties, Position);
-      EXPECT_EQ(Fast, Ref) << "value " << V << " position " << Position;
+      EXPECT_EQ(Fast, Reference.absolute(Position))
+          << "value " << V << " position " << Position;
+    }
+    for (int NumDigits : {1, 2, 3, 5, 12, 17, 25}) {
+      DigitString Fast = fixedDigitsRelative(V, NumDigits, Options);
+      EXPECT_EQ(Fast, Reference.relative(NumDigits))
+          << "value " << V << " digits " << NumDigits;
     }
   }
 }
+
+/// Every finite positive binary16 at NumDigits 1-17 under default options,
+/// against the reference fixed point.  Quarter Q takes the bit patterns
+/// congruent to Q mod 4, which spreads the costly subnormals evenly.
+class FixedConformanceBinary16 : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(FixedConformanceBinary16, RelativeAgreesWithReference) {
+  using Traits = IeeeTraits<Binary16>;
+  constexpr uint32_t FirstInf = 0x7c00;
+  FixedFormatOptions Options;
+  for (uint32_t Bits = 1 + GetParam(); Bits < FirstInf; Bits += 4) {
+    Binary16 H = Binary16::fromBits(static_cast<uint16_t>(Bits));
+    Decomposed D = decompose(H);
+    ReferenceFixed Reference(D.F, D.E, Traits::Precision, Traits::MinExponent,
+                             Options);
+    for (int NumDigits = 1; NumDigits <= 17; ++NumDigits) {
+      DigitString Fast = fixedDigitsRelative(H, NumDigits, Options);
+      ASSERT_EQ(Fast, Reference.relative(NumDigits))
+          << "bits 0x" << std::hex << Bits << std::dec << " digits "
+          << NumDigits;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Quarters, FixedConformanceBinary16,
+                         ::testing::Range(0u, 4u));
 
 } // namespace

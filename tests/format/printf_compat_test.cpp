@@ -166,4 +166,14 @@ TEST(PrintfCompat, StructSpecInterface) {
   EXPECT_EQ(formatPrintf(3.14159, Spec), "+3.14     ");
 }
 
+TEST(PrintfCompatDeath, OverflowingFieldsAreMalformed) {
+  // Width and precision past INT_MAX are rejected rather than wrapped.
+  EXPECT_DEATH((void)formatPrintf(1.0, "%99999999999f"),
+               "malformed printf specification");
+  EXPECT_DEATH((void)formatPrintf(1.0, "%.99999999999e"),
+               "malformed printf specification");
+  EXPECT_DEATH((void)formatPrintf(1.0, "%2147483648g"),
+               "malformed printf specification");
+}
+
 } // namespace

@@ -48,12 +48,20 @@ Three modes:
 
 The legacy flat schema (pre-v1, no "schema" key) is accepted for
 baseline-compare files so older baselines keep working.
+
+Baseline provenance: every v1 report carries context.build_type and
+context.revision (bench/bench_common.h).  Both compare modes print a
+warning -- the exit code is unchanged -- when the baseline lacks these
+stamps, when its build type differs from the current document's, or when
+`git diff --quiet <revision> HEAD -- src` says src/ changed since the
+baseline was measured.
 """
 
 import json
 import os
 import re
 import statistics
+import subprocess
 import sys
 
 SCHEMA = "dragon4.bench.v1"
@@ -82,6 +90,13 @@ PHASE_ORDER = [
     "total", "decompose", "ryu_path", "estimator", "scale_setup", "fixup",
     "digit_loop", "bigint_mul", "bigint_divmod", "render", "overhead",
 ]
+
+# The provenance stamps every v1 report carries (bench/bench_common.h), and
+# the repository whose src/ a baseline's revision is checked against.
+PROVENANCE_KEYS = ("build_type", "revision")
+UNAVAILABLE = "unavailable"
+REPO_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         os.pardir)
 
 # Multi-thread batch metrics: batch_4t_ns_per_value, batch32_2t_..., etc.
 # These measure the host's parallelism as much as the engine's, so they
@@ -152,6 +167,45 @@ def warn_context(current_ctx, baseline_ctx):
                   "apples-to-oranges")
 
 
+def warn_provenance(current_ctx, baseline_ctx):
+    """Warns (never fails) when the baseline may not describe this code.
+
+    A baseline without stamps, from another build type, or measured
+    before the last change under src/ still gates, but its numbers may
+    belong to different code or a different optimizer setting.
+    """
+    missing = [k for k in PROVENANCE_KEYS
+               if baseline_ctx.get(k, UNAVAILABLE) == UNAVAILABLE]
+    if missing:
+        print("bench_check: WARNING: baseline lacks provenance stamp(s) "
+              f"{', '.join(missing)} -- cannot tell which build or "
+              "revision it measured")
+    base_type = baseline_ctx.get("build_type")
+    cur_type = current_ctx.get("build_type")
+    if base_type and cur_type and base_type != cur_type:
+        print(f"bench_check: WARNING: build_type differs (current "
+              f"{cur_type}, baseline {base_type}) -- comparison is "
+              "apples-to-oranges")
+    revision = baseline_ctx.get("revision", UNAVAILABLE)
+    if revision == UNAVAILABLE:
+        return
+    try:
+        diff = subprocess.run(["git", "-C", REPO_ROOT, "diff", "--quiet",
+                               revision, "HEAD", "--", "src"],
+                              capture_output=True)
+        code = diff.returncode
+    except OSError:
+        code = None
+    if code == 1:
+        print(f"bench_check: WARNING: src/ changed since the baseline's "
+              f"revision {revision[:12]} -- the baseline is older than "
+              "the code it gates")
+    elif code != 0:
+        print(f"bench_check: WARNING: cannot compare src/ against the "
+              f"baseline's revision {revision[:12]} (not in this "
+              "repository?)")
+
+
 def compare_metrics(current, baseline, tolerance, label="",
                     skip_scaling=False):
     """Prints the per-metric table; returns (regressions, improvements).
@@ -219,6 +273,7 @@ def run_baseline(paths, tolerance):
     current, current_ctx = load_metrics(current_path)
     baseline, baseline_ctx = load_metrics(baseline_path)
     warn_context(current_ctx, baseline_ctx)
+    warn_provenance(current_ctx, baseline_ctx)
     # Either side measured on a core-starved host poisons the comparison.
     skip_scaling = (not thread_scaling_valid(current_ctx)
                     or not thread_scaling_valid(baseline_ctx))
@@ -306,6 +361,8 @@ def run_history(path, bench_filter, window, tolerance):
         print(f"{bench}: newest vs median of last {len(prior)} run(s)")
         warn_context(current.get("context", {}),
                      prior[-1].get("context", {}))
+        warn_provenance(current.get("context", {}),
+                        prior[-1].get("context", {}))
         # Any run in the comparison set from a core-starved host poisons
         # the multi-thread medians too, not just the newest numbers.
         skip_scaling = any(not thread_scaling_valid(d.get("context", {}))

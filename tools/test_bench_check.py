@@ -240,6 +240,107 @@ class BenchCheckTest(unittest.TestCase):
             self.run_check(f"--history={h}", "--bench=a").returncode, 1)
         self.assertEqual(self.run_check(f"--history={h}").returncode, 1)
 
+    # --- baseline provenance ----------------------------------------------
+
+    def git(self, repo, *args):
+        return subprocess.run(
+            ["git", "-C", repo, "-c", "user.name=bench",
+             "-c", "user.email=bench@example.invalid",
+             "-c", "commit.gpgsign=false", *args],
+            check=True, capture_output=True, text=True).stdout.strip()
+
+    def commit(self, repo, relpath, text):
+        full = os.path.join(repo, relpath)
+        os.makedirs(os.path.dirname(full), exist_ok=True)
+        with open(full, "w") as f:
+            f.write(text)
+        self.git(repo, "add", "-A")
+        self.git(repo, "commit", "-q", "-m", relpath)
+        return self.git(repo, "rev-parse", "HEAD")
+
+    def scratch_repo(self):
+        """A throwaway work tree holding a copy of bench_check.py, whose
+        src/ history the provenance check reads."""
+        repo = os.path.join(self.dir.name, "repo")
+        os.makedirs(os.path.join(repo, "tools"))
+        with open(CHECK) as f:
+            script = f.read()
+        with open(os.path.join(repo, "tools", "bench_check.py"), "w") as f:
+            f.write(script)
+        self.git(repo, "init", "-q")
+        return repo, os.path.join(repo, "tools", "bench_check.py")
+
+    def run_script(self, script, *args):
+        return subprocess.run([sys.executable, script, *args],
+                              capture_output=True, text=True)
+
+    def stamped(self, name, value, build_type, revision):
+        return self.path(name, bench_doc(
+            metrics={"a_ns_per_value": value},
+            context={"build_type": build_type, "revision": revision}))
+
+    def test_provenance_warns_on_unstamped_baseline(self):
+        base = self.path("base.json",
+                         bench_doc(metrics={"a_ns_per_value": 100.0}))
+        cur = self.stamped("cur.json", 100.0, "RelWithDebInfo", "unavailable")
+        result = self.run_check(cur, base)
+        self.assertEqual(result.returncode, 0, result.stdout)
+        self.assertIn("lacks provenance stamp(s) build_type, revision",
+                      result.stdout)
+        # "unavailable" (no work tree at run time) counts as unstamped.
+        result = self.run_check(base, cur)
+        self.assertIn("lacks provenance stamp(s) revision", result.stdout)
+
+    def test_provenance_warns_on_build_type_mismatch(self):
+        repo, script = self.scratch_repo()
+        rev = self.commit(repo, "src/a.cpp", "int a;\n")
+        base = self.stamped("base.json", 100.0, "Debug", rev)
+        cur = self.stamped("cur.json", 130.0, "RelWithDebInfo", rev)
+        result = self.run_script(script, cur, base)
+        # The warning does not change the verdict: 30% slower still fails.
+        self.assertEqual(result.returncode, 1, result.stdout)
+        self.assertIn("build_type differs", result.stdout)
+        self.assertNotIn("lacks provenance", result.stdout)
+        same = self.stamped("same.json", 100.0, "Debug", rev)
+        result = self.run_script(script, same, base)
+        self.assertEqual(result.returncode, 0, result.stdout)
+        self.assertNotIn("WARNING", result.stdout)
+
+    def test_provenance_warns_when_src_changed_since_baseline(self):
+        repo, script = self.scratch_repo()
+        old = self.commit(repo, "src/a.cpp", "int a;\n")
+        new = self.commit(repo, "src/a.cpp", "int a = 1;\n")
+        self.commit(repo, "docs/notes.md", "outside src/\n")
+        cur = self.stamped("cur.json", 100.0, "Release", new)
+        stale = self.stamped("stale.json", 100.0, "Release", old)
+        result = self.run_script(script, cur, stale)
+        self.assertEqual(result.returncode, 0, result.stdout)
+        self.assertIn("src/ changed since the baseline's revision "
+                      + old[:12], result.stdout)
+        # A change outside src/ leaves the baseline current.
+        fresh = self.stamped("fresh.json", 100.0, "Release", new)
+        result = self.run_script(script, cur, fresh)
+        self.assertEqual(result.returncode, 0, result.stdout)
+        self.assertNotIn("WARNING", result.stdout)
+        # A revision this repository does not know is reported, not fatal.
+        alien = self.stamped("alien.json", 100.0, "Release", "0" * 40)
+        result = self.run_script(script, cur, alien)
+        self.assertEqual(result.returncode, 0, result.stdout)
+        self.assertIn("cannot compare src/", result.stdout)
+
+    def test_provenance_applies_in_history_mode(self):
+        repo, script = self.scratch_repo()
+        old = self.commit(repo, "src/a.cpp", "int a;\n")
+        self.commit(repo, "src/a.cpp", "int a = 1;\n")
+        ctx = {"build_type": "Release", "revision": old}
+        lines = [json.dumps(bench_doc("b", {"m_ns_per_value": v}, ctx))
+                 for v in (100.0, 101.0, 99.0, 100.0)]
+        h = self.path("stamped.jsonl", "\n".join(lines) + "\n")
+        result = self.run_script(script, f"--history={h}")
+        self.assertEqual(result.returncode, 0, result.stdout)
+        self.assertIn("src/ changed since the baseline's revision",
+                      result.stdout)
+
     # --- per-phase differential -------------------------------------------
 
     DIFF_ROW = re.compile(r"^\s+(\w+)\s+([\d.]+)\s+([\d.]+)\s+"
