@@ -7,12 +7,17 @@
 /// \file
 /// End-to-end shortest-output conversion cost: by magnitude, by format,
 /// by base, and against the Steele & White baseline; plus rendering cost.
+/// The digit-core rows time the shortest ladder's front rung (Schubfach)
+/// against the retired Ryu removal loop, digits only: no render, no
+/// engine.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "baselines/grisu.h"
+#include "baselines/ryu_loop.h"
 #include "baselines/steele_white.h"
 #include "core/free_format.h"
-#include "baselines/grisu.h"
+#include "fastpath/ryu.h"
 #include "format/dtoa.h"
 #include "fp/binary16.h"
 
@@ -110,6 +115,40 @@ void BM_GrisuFastDouble(benchmark::State &State) {
   State.SetLabel(Label);
 }
 BENCHMARK(BM_GrisuFastDouble)->DenseRange(0, 4);
+
+/// The digits-only row shared by the two shortest digit cores: decompose
+/// once, then time the core alone under the default reader model.
+template <typename Core>
+void digitCoreRow(benchmark::State &State, Core DigitCore) {
+  double V = TestValues[State.range(0)];
+  Decomposed D = decompose(V);
+  using Traits = IeeeTraits<double>;
+  const bool AcceptBounds = (D.F & 1) == 0; // NearestEven.
+  for (auto _ : State) {
+    uint64_t Significand = 0;
+    int Length = 0;
+    int K = 0;
+    bool Ok = DigitCore(D.F, D.E, Traits::Precision, Traits::MinExponent,
+                        AcceptBounds, TieBreak::RoundUp, Significand, Length,
+                        K);
+    benchmark::DoNotOptimize(Ok);
+    benchmark::DoNotOptimize(Significand);
+    benchmark::DoNotOptimize(K);
+  }
+  char Label[32];
+  std::snprintf(Label, sizeof(Label), "%g", V);
+  State.SetLabel(Label);
+}
+
+void BM_DigitCoreSchubfachDouble(benchmark::State &State) {
+  digitCoreRow(State, ryuShortestDecimal);
+}
+BENCHMARK(BM_DigitCoreSchubfachDouble)->DenseRange(0, 4);
+
+void BM_DigitCoreRyuLoopDouble(benchmark::State &State) {
+  digitCoreRow(State, ryuLoopShortestDecimal);
+}
+BENCHMARK(BM_DigitCoreRyuLoopDouble)->DenseRange(0, 4);
 
 void BM_ToShortestString(benchmark::State &State) {
   for (auto _ : State) {

@@ -9,6 +9,8 @@
 #include "rational/rational.h"
 #include "support/checks.h"
 
+#include <cmath>
+
 using namespace dragon4;
 
 namespace {
@@ -42,13 +44,22 @@ Range makeRange(const BigInt &F, int E, int Precision, int MinExponent,
 }
 
 /// Step 2: the smallest k with high <= B^k (or < when the high boundary is
-/// inclusive).  A plain search -- this is the oracle, not the product.
+/// inclusive).  A plain search -- this is the oracle, not the product.  It
+/// starts from log_B(high) estimated from the bit lengths of high's
+/// numerator and denominator, which puts log2(high) within one of their
+/// difference, so the exact comparisons below take a step or two instead
+/// of walking from k = 0.  The estimate only picks where the walk starts,
+/// not where it ends.
 int findScale(const Rational &High, unsigned B, bool HighOk) {
   auto Fits = [&](int K) {
     Rational Power = Rational::scaledPow(BigInt(uint64_t(1)), B, K);
     return HighOk ? High < Power : High <= Power;
   };
-  int K = 0;
+  const double Log2High =
+      static_cast<double>(High.numerator().bitLength()) -
+      static_cast<double>(High.denominator().bitLength());
+  int K = static_cast<int>(
+      std::ceil(Log2High / std::log2(static_cast<double>(B))));
   while (!Fits(K))
     ++K;
   while (Fits(K - 1)) // Walk down to the smallest valid k.

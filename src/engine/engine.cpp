@@ -10,7 +10,7 @@
 /// it through reusable storage (Scratch's arena and digit buffers) and
 /// renders the resulting digits through the same render_core layout rules
 /// that back format/render.cpp, so engine::format(v) == toShortest(v)
-/// holds byte for byte for every instantiation.  The Ryu rung skips the
+/// holds byte for byte for every instantiation.  The digit-core rung skips the
 /// reusable storage altogether: its decimal significand is rendered
 /// straight into the sink, and only the exact rung opens a
 /// ConversionScope.  formatInto is the one writer-generic body; format()
@@ -210,12 +210,14 @@ size_t shortestInto(T Value, const PrintOptions &Options, Scratch &S, W &Out,
       D4_PROF_SPAN(Decompose);
       D = decompose(Value);
     }
-    // The ladder: Ryu -> exact loop.  Ryu is the front line for every
-    // certified narrow format (binary16/32/64) and any symmetric reader
-    // model, and renders straight from its decimal significand: no digit
-    // vector, no arena.  Its only failures are defensive range checks,
-    // counted as RyuFallbacks; those conversions, like every one Ryu does
-    // not model, run the exact loop.  The RyuPath span lives inside the
+    // The ladder: digit core -> exact loop.  The Schubfach digit core
+    // (fastpath/ryu.h; its entry points, counters and path keep the rung's
+    // Ryu names) is the front line for every certified narrow format
+    // (binary16/32/64) and any symmetric reader model, and renders
+    // straight from its decimal significand: no digit vector, no arena.
+    // Its only failures are defensive range checks, counted as
+    // RyuFallbacks; those conversions, like every one the core does not
+    // model, run the exact loop.  The RyuPath span lives inside the
     // converter itself.
     if constexpr (Format::RyuCertified) {
       bool AcceptBounds = false;

@@ -5,26 +5,24 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A Ryu-style shortest-form converter after Adams, "Ryu: fast
-/// float-to-string conversion" (PLDI 2018) -- the front line of the
-/// library's shortest-output ladder, ahead of the exact Burger-Dybvig
-/// loop.  Where Grisu3 (baselines/grisu.h) runs an error analysis and
-/// *fails* on ~0.5% of inputs, Ryu computes the exact scaled interval
-/// (v-, v, v+) with one 128-bit cached power of five per conversion and
-/// tracks exactness explicitly, so it never needs to give up for in-range
-/// inputs: the only fallbacks are defensive range checks.
+/// The front rung of the library's shortest-output ladder, ahead of the
+/// exact Burger-Dybvig loop: the Schubfach digit core (fastpath/schubfach.h,
+/// after Giulietti 2020), which gets the shortest digits from three
+/// 64x128-bit products and at most two interval tests, with no per-digit
+/// loop.  It never gives up for in-range inputs: the only fallbacks are
+/// defensive range checks.
 ///
-/// Faithful to this repository's spirit, the cached powers are not magic
-/// constants: they are the entries of the one compile-time table the
-/// parser also uses (parse/pow5_table.h), asserted bit for bit against
-/// the runtime BigInt stack.
+/// The core models every symmetric boundary semantics: the caller passes
+/// AcceptBounds (may the output land exactly on a neighbour midpoint?) and
+/// the writer-side TieBreak.  Asymmetric reader models
+/// (LowInclusive/HighInclusive) are not expressible and must take the
+/// exact path; see ryuEligible.
 ///
-/// Unlike Grisu (hard-wired to the conservative reader with round-up
-/// ties), this implementation models every symmetric boundary semantics:
-/// the caller passes AcceptBounds (may the output land exactly on a
-/// neighbour midpoint?) and the writer-side TieBreak.  Asymmetric reader
-/// models (LowInclusive/HighInclusive) are not expressible and must take
-/// the exact path; see ryuEligible.
+/// The entry points keep their Ryu names: the repository benchmark's
+/// harness and the /metrics families (ryu hits/fallbacks, obs::Path::Ryu)
+/// are named after the rung, and renaming them is an interface change for
+/// a benchmark revision.  The Ryu removal loop is baselines/ryu_loop.h, a
+/// bench competitor and differential oracle.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,8 +36,9 @@
 
 namespace dragon4 {
 
-/// Decides whether Ryu's symmetric-bounds model expresses the requested
-/// reader semantics for a value whose mantissa parity is \p MantissaEven.
+/// Decides whether the digit core's symmetric-bounds model expresses the
+/// requested reader semantics for a value whose mantissa parity is
+/// \p MantissaEven.
 /// On success sets \p AcceptBounds (both interval endpoints admissible)
 /// and returns true.  Every TieBreak is supported; only base 10 and
 /// symmetric BoundaryFlags (LowOk == HighOk) are.
@@ -55,13 +54,13 @@ inline bool ryuEligible(unsigned Base, BoundaryMode Boundaries,
 }
 
 /// Engine entry point: converts the positive value F * 2^E (a format with
-/// \p Precision <= 54 mantissa bits and minimum exponent \p MinExponent)
-/// to its shortest correctly rounded decimal form.  On success sets
-/// \p Output to the decimal significand d1...dn as an integer, \p Length
-/// to n (its exact digit count, at most 17), and \p K so that
-/// v = 0.d1...dn * 10^K, and returns true.  Returns false only when a
-/// defensive certification check fails (precision or cached-power range
-/// exceeded); the caller must then fall back to the exact loop.  Touches
+/// \p Precision mantissa bits and minimum exponent \p MinExponent) to its
+/// shortest correctly rounded decimal form.  On success sets \p Output to
+/// the decimal significand d1...dn as an integer, \p Length to n (its
+/// exact digit count, at most 17), and \p K so that v = 0.d1...dn * 10^K,
+/// and returns true.  Returns false only outside the certified envelope
+/// (binary64's precision and exponent range); the caller must then fall
+/// back to the exact loop.  Touches
 /// no memory besides its outputs, so the caller can render the digits
 /// straight from \p Output (render_detail::renderDecimalAutoInto).
 bool ryuShortestDecimal(uint64_t F, int E, int Precision, int MinExponent,

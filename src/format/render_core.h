@@ -19,8 +19,8 @@
 ///   SpanDigits     a digit array in any base followed by trailing marks:
 ///                  the exact loop's and the fixed path's digit strings.
 ///   DecimalDigits  a base-10 significand held in a uint64_t, turned into
-///                  ASCII with a two-digit table: the Ryu rung's output,
-///                  rendered without a digit-array intermediate.
+///                  ASCII with a two-digit table: the shortest digit core's
+///                  output, rendered without a digit-array intermediate.
 ///
 /// A source writes a run of output positions at once, so the layout rules
 /// below exist once and serve both.
@@ -34,6 +34,8 @@
 #include "format/sink.h"
 #include "support/checks.h"
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -70,10 +72,27 @@ inline void writeDecimal(uint64_t Value, int Length, char *Out) {
     Out[0] = static_cast<char>('0' + Value % 10);
 }
 
+/// Number of decimal digits of V >= 1: floor(log10(V)) + 1, estimated
+/// from the bit width (1233 / 4096 ~ log10(2)) and corrected by one
+/// comparison against the power of ten at the estimate.
+inline int decimalLength(uint64_t V) {
+  static constexpr auto Pow10 = [] {
+    std::array<uint64_t, 20> Table{};
+    uint64_t Power = 1;
+    for (uint64_t &Entry : Table) {
+      Entry = Power;
+      Power *= 10; // Wraps once, after 10^19 is stored; never read.
+    }
+    return Table;
+  }();
+  const int Estimate = (static_cast<int>(std::bit_width(V)) * 1233) >> 12;
+  return Estimate + (V >= Pow10[static_cast<size_t>(Estimate)]);
+}
+
 /// Stores the \p Length base-10 digits of \p Value into \p Digits, most
 /// significant first (Digits is cleared; capacity is reused, so a warm
-/// vector allocates nothing).  The digit-array form of a Ryu result, for
-/// callers that want a DigitString rather than text.
+/// vector allocates nothing).  The digit-array form of a digit-core
+/// result, for callers that want a DigitString rather than text.
 inline void storeDecimalDigits(uint64_t Value, int Length,
                                std::vector<uint8_t> &Digits) {
   Digits.clear();

@@ -13,9 +13,11 @@
 ///     decimal significand by an entry to approximate w * 10^q -- the 2^q
 ///     part is tracked separately in the binary exponent.  Its own
 ///     per-format clamps keep it inside [-342, 308] for binary64.
-///   * the Ryu printer (fastpath/ryu.cpp) scales the halfway-neighbour
-///     interval by an entry.  Printing a subnormal binary64 needs 5^i up
-///     to i = 325, which is why the positive side reaches 342.
+///   * the shortest digit core (fastpath/schubfach.h) scales the
+///     halfway-neighbour interval by an entry (plus one for q >= 0), and
+///     the Ryu baseline (baselines/ryu_loop.cpp) by an entry as is.
+///     Printing a subnormal binary64 needs 5^324, which is why the
+///     positive side reaches 342.
 ///
 /// Entry semantics:
 ///   q >= 0  truncation: Hi:Lo is the top 128 bits of the exact integer
@@ -53,8 +55,9 @@ struct Pow5Entry {
 
 /// Table bounds.  Below -342 every sub-2^64 significand parses to zero
 /// for binary64; the positive side must reach -MinExponent scaled by
-/// log5(2) for Ryu (325 for binary64's e2 = -1076), and mirrors the
-/// negative side for simplicity.  See eisel_lemire.h for the parser's
+/// log10(2) for the printers (324 for the digit core at e = -1074, 325
+/// for the Ryu baseline's e2 = -1076), and mirrors the negative side for
+/// simplicity.  See eisel_lemire.h for the parser's
 /// per-format clamps, which stop at 308 above.
 inline constexpr int SmallestPowerOfFive = -342;
 inline constexpr int LargestPowerOfFive = 342;

@@ -28,7 +28,7 @@ namespace dragon4::prof {
 enum class Phase : uint8_t {
   Total,        ///< The whole conversion (gross; every other span nests).
   Decompose,    ///< Classification, IEEE decomposition, eligibility checks.
-  RyuPath,      ///< The Ryu front line (exact interval digit generation).
+  RyuPath,      ///< The front rung (the Schubfach shortest digit core).
   Estimator,    ///< The two-flop / float-log scale estimate.
   ScaleSetup,   ///< Table-1 initial values and the B^k scale application.
   Fixup,        ///< The estimate-too-low check and its (free) correction.

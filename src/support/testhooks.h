@@ -31,15 +31,6 @@ namespace dragon4::testhooks {
 /// boundary values emit one digit too many (minimality failure).
 extern bool FlipDigitLoopLowComparison;
 
-/// When true, the Ryu fast path's digit-removal loop evaluates its
-/// interval-width bound ("the remaining interval still spans a full
-/// decade") inclusively instead of strictly, removing one digit too many
-/// -- outputs land outside the rounding interval (round-trip failures) or
-/// lose minimality.  The Ryu analogue of FlipDigitLoopLowComparison,
-/// planted to prove the exhaustive tier also guards the new front line.
-/// Defined in fastpath/ryu.cpp.
-extern bool FlipRyuBoundComparison;
-
 /// When true, the phase profiler (src/prof/) behaves as if
 /// perf_event_open(2) were denied and falls back to the steady-clock
 /// backend, so the degradation path is testable on machines where perf

@@ -178,8 +178,8 @@ bool dragon4::verify::appendRecord(const std::string &Path,
 //===----------------------------------------------------------------------===//
 
 Verdict dragon4::verify::replayRecord(const CorpusRecord &Record,
-                                      engine::Scratch *S) {
-  return checkBits(Record.Bits, Record.Oracles, S);
+                                      engine::Scratch *S, DigitCore Core) {
+  return checkBits(Record.Bits, Record.Oracles, S, Core);
 }
 
 namespace {
@@ -268,9 +268,10 @@ uint64_t scoreFields(const Fields &F) {
 } // namespace
 
 CorpusRecord dragon4::verify::minimizeRecord(const CorpusRecord &Record,
-                                             size_t MaxProbes) {
+                                             size_t MaxProbes,
+                                             DigitCore Core) {
   engine::Scratch S;
-  Verdict Initial = replayRecord(Record, &S);
+  Verdict Initial = replayRecord(Record, &S, Core);
   if (Initial.ok())
     return Record; // Nothing to minimize; leave the record alone.
 
@@ -290,7 +291,7 @@ CorpusRecord dragon4::verify::minimizeRecord(const CorpusRecord &Record,
     CorpusRecord Probe;
     Probe.Bits = joinFields(F);
     Probe.Oracles = Oracles;
-    Out = replayRecord(Probe, &S);
+    Out = replayRecord(Probe, &S, Core);
     return !Out.ok();
   };
 

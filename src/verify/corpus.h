@@ -68,17 +68,20 @@ bool loadCorpus(const std::string &Path, std::vector<CorpusRecord> &Out,
 /// as a record separator.  Returns false on I/O failure.
 bool appendRecord(const std::string &Path, const CorpusRecord &Record);
 
-/// Re-runs the record's oracles over its bit pattern.
+/// Re-runs the record's oracles over its bit pattern (the core oracle
+/// judging \p Core).
 Verdict replayRecord(const CorpusRecord &Record,
-                     engine::Scratch *S = nullptr);
+                     engine::Scratch *S = nullptr,
+                     DigitCore Core = ryuShortestDecimal);
 
 /// Shrinks \p Record while it keeps failing: sign toward 0, exponent
 /// toward the bias, mantissa toward boundary forms.  Returns the simplest
 /// still-failing record found (the input itself if nothing simpler fails),
 /// with its comment refreshed to the minimized failure's detail.  Spends
-/// at most \p MaxProbes oracle evaluations.
+/// at most \p MaxProbes oracle evaluations, each judging \p Core.
 CorpusRecord minimizeRecord(const CorpusRecord &Record,
-                            size_t MaxProbes = 4096);
+                            size_t MaxProbes = 4096,
+                            DigitCore Core = ryuShortestDecimal);
 
 } // namespace dragon4::verify
 

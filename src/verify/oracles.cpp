@@ -19,6 +19,7 @@
 #include "engine/engine.h"
 #include "format/dtoa.h"
 #include "format/render.h"
+#include "format/render_core.h"
 #include "fp/binary128.h"
 #include "fp/binary16.h"
 #include "parse/parse.h"
@@ -44,7 +45,7 @@ constexpr OracleName OracleTable[] = {
     {OracleRoundTrip, "roundtrip"}, {OracleShortest, "shortest"},
     {OracleReference, "reference"}, {OracleLibc, "libc"},
     {OracleEngine, "engine"},       {OracleParse, "parse"},
-    {OracleStd, "std"},
+    {OracleStd, "std"},             {OracleCore, "core"},
 };
 
 std::string hex(uint64_t Value, int Digits) {
@@ -216,6 +217,35 @@ template <typename T> bool oracleShortest(T Value, std::string &Detail) {
   return true;
 }
 
+/// The digit core against the exact loop, under the default contract.
+template <typename T>
+bool oracleCore(T Value, DigitCore Core, std::string &Detail) {
+  using Traits = IeeeTraits<T>;
+  Decomposed D = decompose(Value);
+  FreeFormatOptions Options;
+  bool AcceptBounds = false;
+  const bool Symmetric = ryuEligible(Options.Base, Options.Boundaries,
+                                     (D.F & 1) == 0, AcceptBounds);
+  D4_ASSERT(Symmetric, "the default contract is symmetric");
+  uint64_t Significand = 0;
+  int Length = 0;
+  DigitString Fast;
+  if (!Core(D.F, D.E, Traits::Precision, Traits::MinExponent, AcceptBounds,
+            Options.Ties, Significand, Length, Fast.K)) {
+    Detail = "core: declined an in-range value " + BitOps<T>::showBits(Value);
+    return false;
+  }
+  render_detail::storeDecimalDigits(Significand, Length, Fast.Digits);
+  DigitString Exact = defaultShortestDigits(Value);
+  if (!(Fast == Exact)) {
+    Detail = "core: digit core \"" + Fast.digitsAsText() + "\" (K=" +
+             std::to_string(Fast.K) + ") vs exact loop \"" +
+             Exact.digitsAsText() + "\" (K=" + std::to_string(Exact.K) + ")";
+    return false;
+  }
+  return true;
+}
+
 template <typename T> bool oracleReference(T Value, std::string &Detail) {
   DigitString Fast = defaultShortestDigits(Value);
   DigitString Ref = referenceShortestDigits(Value);
@@ -381,7 +411,8 @@ bool oracleEngineFormat(T Value, engine::Scratch &S, std::string &Detail) {
 
 /// Runs the mask of oracles over one decoded value.
 template <typename T>
-Verdict checkValue(T Value, unsigned Oracles, engine::Scratch *S) {
+Verdict checkValue(T Value, unsigned Oracles, engine::Scratch *S,
+                   DigitCore Core) {
   Verdict Result;
   auto Record = [&](unsigned Bit, bool Ok, const std::string &Detail) {
     if (S)
@@ -427,6 +458,12 @@ Verdict checkValue(T Value, unsigned Oracles, engine::Scratch *S) {
     if (Oracles & OracleStd) {
       std::string Detail;
       Record(OracleStd, oracleStd(Value, Detail), Detail);
+    }
+  }
+  if constexpr (!std::is_same_v<T, Binary128>) {
+    if (Oracles & OracleCore) {
+      std::string Detail;
+      Record(OracleCore, oracleCore(Value, Core, Detail), Detail);
     }
   }
   if (Oracles & OracleEngine) {
@@ -487,11 +524,13 @@ unsigned dragon4::verify::supportedOracles(FloatFormat Format) {
   // The engine and parse oracles are format-generic (the buffer pipeline
   // is one traits-driven template; parseFloat falls back to the exact
   // reader where it has no fast path), so only libc and std -- which need
-  // a hardware type with a library reader -- are restricted.
+  // a hardware type with a library reader -- and core -- which serves the
+  // narrow formats -- are restricted.
   switch (Format) {
   case FloatFormat::Binary16:
-  case FloatFormat::Binary128:
     return OracleAll & ~(OracleLibc | OracleStd);
+  case FloatFormat::Binary128:
+    return OracleAll & ~(OracleLibc | OracleStd | OracleCore);
   case FloatFormat::Binary32:
   case FloatFormat::Binary64:
     return OracleAll;
@@ -563,16 +602,16 @@ FormatId formatIdFor(FloatFormat F) {
 }
 
 Verdict dispatchChecks(const BitPattern &Bits, unsigned Oracles,
-                       engine::Scratch *S) {
+                       engine::Scratch *S, DigitCore Core) {
   switch (Bits.Format) {
   case FloatFormat::Binary16:
-    return checkValue(BitOps<Binary16>::fromPattern(Bits), Oracles, S);
+    return checkValue(BitOps<Binary16>::fromPattern(Bits), Oracles, S, Core);
   case FloatFormat::Binary32:
-    return checkValue(BitOps<float>::fromPattern(Bits), Oracles, S);
+    return checkValue(BitOps<float>::fromPattern(Bits), Oracles, S, Core);
   case FloatFormat::Binary64:
-    return checkValue(BitOps<double>::fromPattern(Bits), Oracles, S);
+    return checkValue(BitOps<double>::fromPattern(Bits), Oracles, S, Core);
   case FloatFormat::Binary128:
-    return checkValue(BitOps<Binary128>::fromPattern(Bits), Oracles, S);
+    return checkValue(BitOps<Binary128>::fromPattern(Bits), Oracles, S, Core);
   }
   return Verdict{};
 }
@@ -580,14 +619,14 @@ Verdict dispatchChecks(const BitPattern &Bits, unsigned Oracles,
 } // namespace
 
 Verdict dragon4::verify::checkBits(const BitPattern &Bits, unsigned Oracles,
-                                   engine::Scratch *S) {
+                                   engine::Scratch *S, DigitCore Core) {
   Oracles &= supportedOracles(Bits.Format);
 
 #if DRAGON4_OBS_ENABLED
   if (S && obs::enabled()) {
     obs::ObsState &Obs = S->obsState();
     if (!Obs.tick()) {
-      Verdict V = dispatchChecks(Bits, Oracles, S);
+      Verdict V = dispatchChecks(Bits, Oracles, S, Core);
       if (V.ok())
         return V;
       // A mismatch on an unsampled check: re-run it traced (mismatches are
@@ -598,7 +637,7 @@ Verdict dragon4::verify::checkBits(const BitPattern &Bits, unsigned Oracles,
       uint64_t StartNs = obs::nowNanos();
       {
         obs::ActiveTraceScope Scope(&Obs.Current);
-        dispatchChecks(Bits, Oracles, nullptr);
+        dispatchChecks(Bits, Oracles, nullptr, Core);
       }
       Obs.finishConversion(Obs.Current, obs::Path::VerifyCheck,
                            formatIdFor(Bits.Format), Bits.Lo, Bits.Hi, StartNs,
@@ -616,7 +655,7 @@ Verdict dragon4::verify::checkBits(const BitPattern &Bits, unsigned Oracles,
     Verdict V;
     {
       obs::ActiveTraceScope Scope(&Obs.Current);
-      V = dispatchChecks(Bits, Oracles, S);
+      V = dispatchChecks(Bits, Oracles, S, Core);
     }
     Obs.finishConversion(Obs.Current, obs::Path::VerifyCheck,
                          formatIdFor(Bits.Format), Bits.Lo, Bits.Hi, StartNs,
@@ -626,5 +665,5 @@ Verdict dragon4::verify::checkBits(const BitPattern &Bits, unsigned Oracles,
   }
 #endif
 
-  return dispatchChecks(Bits, Oracles, S);
+  return dispatchChecks(Bits, Oracles, S, Core);
 }

@@ -29,6 +29,9 @@
 ///              std::from_chars reads it back to the same bits, and it
 ///              carries as many significant digits as std::to_chars'
 ///              shortest form (binary32/binary64, default options)
+///   core       the shortest digit core (the ladder's front rung) yields
+///              the exact loop's digits and scale (binary16/32/64: the
+///              formats the core serves)
 ///
 /// Values are addressed by raw bit pattern, so every mismatch is trivially
 /// replayable (see verify/corpus.h) and exhaustive sweeps are plain
@@ -41,6 +44,7 @@
 #define DRAGON4_VERIFY_VERIFY_H
 
 #include "engine/scratch.h"
+#include "fastpath/ryu.h"
 
 #include <cstdint>
 #include <optional>
@@ -71,11 +75,13 @@ enum : unsigned {
   OracleEngine = 1u << 4,
   OracleParse = 1u << 5,
   OracleStd = 1u << 6,
-  OracleAll = (1u << 7) - 1,
+  OracleCore = 1u << 7,
+  OracleAll = (1u << 8) - 1,
 };
 
 /// The subset of OracleAll implemented for \p Format (everything except
-/// libc and std, which need a hardware type with a library reader).
+/// libc and std, which need a hardware type with a library reader, and
+/// core, which has no binary128 digit core to judge).
 unsigned supportedOracles(FloatFormat Format);
 
 /// Comma-separated lower-case names of the oracles in \p Mask.
@@ -100,6 +106,14 @@ struct BitPattern {
 /// "0x..." rendering of the encoding (32 hex digits for binary128).
 std::string bitsToHex(const BitPattern &Bits);
 
+/// A shortest digit core, with ryuShortestDecimal's contract.  The core
+/// oracle judges the library's own by default; tests pass a planted
+/// mutation of it (fastpath/schubfach.h) to prove that a sweep catches a
+/// wrong core, the minimizer shrinks it and replay reproduces it.
+using DigitCore = bool (*)(uint64_t F, int E, int Precision, int MinExponent,
+                           bool AcceptBounds, TieBreak Ties, uint64_t &Output,
+                           int &Length, int &K);
+
 /// Outcome of running a set of oracles over one value.
 struct Verdict {
   unsigned Failed = 0; ///< Mask of oracles that found a mismatch.
@@ -114,8 +128,11 @@ struct Verdict {
 /// round-trips; the remaining oracles apply to finite non-zero values.
 /// When \p S is non-null each oracle run is charged to its verdict
 /// counters and the engine oracle reuses its warm storage.
+/// \p Core is the digit core the core oracle judges; every other oracle
+/// judges the library as built.
 Verdict checkBits(const BitPattern &Bits, unsigned Oracles = OracleAll,
-                  engine::Scratch *S = nullptr);
+                  engine::Scratch *S = nullptr,
+                  DigitCore Core = ryuShortestDecimal);
 
 } // namespace dragon4::verify
 

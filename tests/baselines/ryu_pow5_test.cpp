@@ -1,26 +1,26 @@
-//===- tests/fastpath/ryu_pow5_test.cpp ------------------------------------===//
+//===- tests/baselines/ryu_pow5_test.cpp -----------------------------------===//
 //
 // Part of libdragon4. SPDX-License-Identifier: MIT
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Ryu's exponent arithmetic over the shared powers-of-five table:
-/// ryuPow5Bits must equal the exact BigInt bit length of 5^E over the
-/// table's whole positive range.  The table entries themselves are
+/// The Ryu baseline's exponent arithmetic over the shared powers-of-five
+/// table: ryuPow5Bits must equal the exact BigInt bit length of 5^E over
+/// the table's whole positive range.  The table entries themselves are
 /// asserted against the BigInt stack in tests/parse/pow5_table_test.cpp.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "fastpath/ryu_pow5.h"
+#include "baselines/ryu_loop.h"
 
 #include "bigint/bigint.h"
 #include "bigint/power_cache.h"
+#include "parse/pow5_table.h"
 
 #include <gtest/gtest.h>
 
 using namespace dragon4;
-using namespace dragon4::fastpath;
 
 namespace {
 

@@ -5,20 +5,24 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Three-way differential test: Ryu vs Grisu3 vs the exact Burger-Dybvig
-/// loop on the same decomposed inputs.  The three implementations share no
-/// arithmetic (128-bit cached powers of five / 64-bit DiyFp error analysis
-/// / exact bignums), so byte-identical agreement across a hostile input
-/// set -- deterministic random bit patterns, binade boundaries, powers of
-/// two and ten, pinned hard cases from the literature -- is strong
-/// evidence all three are right.  Grisu is consulted under its own model
-/// (conservative boundaries, round-up ties) and may decline ~0.5% of
-/// inputs; Ryu and Dragon4 must agree on every input, under both the
+/// Differential test of the shortest digit core (the Schubfach rung behind
+/// ryuShortestInto) against the retired Ryu removal loop
+/// (baselines/ryu_loop.h), Grisu3 and the exact Burger-Dybvig loop on the
+/// same decomposed inputs.  The four share no digit arithmetic (round-to-
+/// odd 64x128 products and interval tests / 128-bit products and a
+/// digit-removal loop / 64-bit DiyFp error analysis / exact bignums), so
+/// byte-identical agreement across a hostile input set -- deterministic
+/// random bit patterns, binade boundaries, powers of two and ten, pinned
+/// hard cases from the literature -- is strong evidence all are right.
+/// Grisu is consulted under its own model (conservative boundaries,
+/// round-up ties) and may decline ~0.5% of inputs; the core, the Ryu
+/// baseline and Dragon4 must agree on every input, under both the
 /// conservative and the nearest-even reader.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "baselines/grisu.h"
+#include "baselines/ryu_loop.h"
 #include "core/free_format.h"
 #include "fastpath/ryu.h"
 #include "fp/ieee_traits.h"
@@ -37,13 +41,24 @@ namespace {
 /// Per-test scratch so the differential loops do not reallocate per value.
 struct Scratch {
   std::vector<uint8_t> RyuDigits;
+  std::vector<uint8_t> BaselineDigits;
   std::vector<uint8_t> GrisuDigits;
 };
 
-/// Runs all three converters on one finite non-zero value and cross-checks.
-/// Under Conservative+RoundUp all three must agree byte for byte whenever
-/// Grisu certifies; under NearestEven (both tie breaks) Ryu and Dragon4
-/// must agree.  Records gtest failures; returns false on any divergence.
+/// The Ryu baseline against the exact digits, under one option set.
+bool baselineAgrees(const Decomposed &D, int Precision, int MinExponent,
+                    bool AcceptBounds, TieBreak Ties,
+                    const DigitString &Exact, Scratch &S) {
+  int K = 0;
+  return ryuLoopShortestInto(D.F, D.E, Precision, MinExponent, AcceptBounds,
+                             Ties, S.BaselineDigits, K) &&
+         S.BaselineDigits == Exact.Digits && K == Exact.K;
+}
+
+/// Runs all four converters on one finite non-zero value and cross-checks.
+/// Under Conservative+RoundUp all four must agree byte for byte whenever
+/// Grisu certifies; under NearestEven (both tie breaks) the core, the Ryu
+/// baseline and Dragon4 must agree.  Records gtest failures; returns false on any divergence.
 template <typename T> bool diffOne(T Value, uint64_t Bits, Scratch &S) {
   using Traits = IeeeTraits<T>;
   Decomposed D = decompose(Value);
@@ -66,12 +81,18 @@ template <typename T> bool diffOne(T Value, uint64_t Bits, Scratch &S) {
     int RyuK = 0;
     if (!ryuShortestInto(D.F, D.E, Traits::Precision, Traits::MinExponent,
                          AcceptBounds, Options.Ties, S.RyuDigits, RyuK)) {
-      ADD_FAILURE() << "Ryu declined, bits 0x" << std::hex << Bits;
+      ADD_FAILURE() << "core declined, bits 0x" << std::hex << Bits;
       return false;
     }
     if (S.RyuDigits != Exact.Digits || RyuK != Exact.K) {
-      ADD_FAILURE() << "Ryu != Dragon4 (conservative/up), bits 0x" << std::hex
-                    << Bits;
+      ADD_FAILURE() << "core != Dragon4 (conservative/up), bits 0x"
+                    << std::hex << Bits;
+      Ok = false;
+    }
+    if (!baselineAgrees(D, Traits::Precision, Traits::MinExponent,
+                        AcceptBounds, Options.Ties, Exact, S)) {
+      ADD_FAILURE() << "Ryu baseline != Dragon4 (conservative/up), bits 0x"
+                    << std::hex << Bits;
       Ok = false;
     }
     int GrisuK = 0;
@@ -83,7 +104,7 @@ template <typename T> bool diffOne(T Value, uint64_t Bits, Scratch &S) {
         Ok = false;
       }
       if (S.GrisuDigits != S.RyuDigits || GrisuK != RyuK) {
-        ADD_FAILURE() << "Grisu != Ryu (conservative/up), bits 0x" << std::hex
+        ADD_FAILURE() << "Grisu != core (conservative/up), bits 0x" << std::hex
                       << Bits;
         Ok = false;
       }
@@ -106,12 +127,18 @@ template <typename T> bool diffOne(T Value, uint64_t Bits, Scratch &S) {
     int RyuK = 0;
     if (!ryuShortestInto(D.F, D.E, Traits::Precision, Traits::MinExponent,
                          AcceptBounds, Ties, S.RyuDigits, RyuK)) {
-      ADD_FAILURE() << "Ryu declined, bits 0x" << std::hex << Bits;
+      ADD_FAILURE() << "core declined, bits 0x" << std::hex << Bits;
       return false;
     }
     if (S.RyuDigits != Exact.Digits || RyuK != Exact.K) {
-      ADD_FAILURE() << "Ryu != Dragon4 (nearest-even), bits 0x" << std::hex
+      ADD_FAILURE() << "core != Dragon4 (nearest-even), bits 0x" << std::hex
                     << Bits;
+      Ok = false;
+    }
+    if (!baselineAgrees(D, Traits::Precision, Traits::MinExponent,
+                        AcceptBounds, Ties, Exact, S)) {
+      ADD_FAILURE() << "Ryu baseline != Dragon4 (nearest-even), bits 0x"
+                    << std::hex << Bits;
       Ok = false;
     }
   }

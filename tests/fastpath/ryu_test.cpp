@@ -5,20 +5,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The Ryu fast path against the exact Burger-Dybvig loop.  binary16 is
-/// small enough to sweep the full encoding space under the whole symmetric
-/// options matrix (three boundary modes x three tie breaks); binary32 gets
-/// a strided sweep.  Every successful Ryu conversion must be byte-identical
-/// to the exact algorithm, and -- asserted separately so a correctness
-/// regression and a minimality regression fail with different messages --
-/// never longer than the Dragon4 output.  The RyuLadder cases drive the
-/// whole shortest ladder through toShortest and compare its bytes with the
-/// exact loop's digits rendered by the same rules.
+/// The shortest digit core (the Schubfach rung behind ryuShortestInto)
+/// against the exact Burger-Dybvig loop and the retired Ryu removal loop
+/// (baselines/ryu_loop.h), under the whole symmetric options matrix (three
+/// boundary modes x three tie breaks): every binary16 value, strided
+/// binary32, and tie- and endpoint-prone binary64.  Every conversion must
+/// be byte-identical to the exact algorithm, and -- asserted separately so
+/// a correctness regression and a minimality regression fail with
+/// different messages -- never longer than the Dragon4 output.  The
+/// RyuLadder cases drive the whole shortest ladder through toShortest and
+/// compare its bytes with the exact loop's digits rendered by the same
+/// rules.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "fastpath/ryu.h"
 
+#include "baselines/ryu_loop.h"
 #include "core/free_format.h"
 #include "format/dtoa.h"
 #include "format/option_maps.h"
@@ -27,7 +30,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -104,9 +109,10 @@ std::string exactText(Binary16 Value, const PrintOptions &Options) {
                     signBit(Value), renderOptionsFrom(Options));
 }
 
-/// Runs Ryu and the exact loop on one finite non-zero value and compares.
-/// Returns false (after recording a gtest failure) on any divergence.
-/// \p Digits is caller-owned scratch so sweeps do not reallocate per value.
+/// Runs the digit core, the Ryu baseline and the exact loop on one finite
+/// non-zero value and compares all three.  Returns false (after recording
+/// a gtest failure) on any divergence.  \p Digits is caller-owned scratch
+/// so sweeps do not reallocate per value.
 template <typename T>
 bool checkOne(T Value, uint64_t Bits, const OptionCombo &Combo,
               std::vector<uint8_t> &Digits) {
@@ -142,12 +148,37 @@ bool checkOne(T Value, uint64_t Bits, const OptionCombo &Combo,
     DigitString Ours;
     Ours.Digits = Digits;
     Ours.K = K;
-    ADD_FAILURE() << "Ryu " << Ours.digitsAsText() << "e" << K << " != exact "
-                  << Exact.digitsAsText() << "e" << Exact.K << ", bits 0x"
-                  << std::hex << Bits << " combo " << comboName(Combo);
+    ADD_FAILURE() << "core " << Ours.digitsAsText() << "e" << K
+                  << " != exact " << Exact.digitsAsText() << "e" << Exact.K
+                  << ", bits 0x" << std::hex << Bits << " combo "
+                  << comboName(Combo);
+    return false;
+  }
+  int BaselineK = 0;
+  if (!ryuLoopShortestInto(D.F, D.E, Traits::Precision, Traits::MinExponent,
+                           AcceptBounds, Combo.Ties, Digits, BaselineK) ||
+      Digits != Exact.Digits || BaselineK != Exact.K) {
+    ADD_FAILURE() << "Ryu baseline != exact, bits 0x" << std::hex << Bits
+                  << " combo " << comboName(Combo);
     return false;
   }
   return true;
+}
+
+/// checkOne on the value encoded by \p Bits, under every symmetric combo;
+/// non-finite and zero encodings are skipped.  Returns the number of
+/// failing combos.
+template <typename T>
+int checkAllCombos(uint64_t Bits, std::vector<uint8_t> &Digits) {
+  T Value =
+      IeeeTraits<T>::fromBits(static_cast<typename IeeeTraits<T>::Bits>(Bits));
+  FpClass Class = classify(Value);
+  if (Class != FpClass::Normal && Class != FpClass::Subnormal)
+    return 0;
+  int Failures = 0;
+  for (const OptionCombo &Combo : SymmetricCombos)
+    Failures += !checkOne(Value, Bits, Combo, Digits);
+  return Failures;
 }
 
 /// Full binary16 encoding space (sign included -- digit generation works on
@@ -170,27 +201,61 @@ TEST(RyuBinary16, FullSpaceMatchesExactAllSymmetricOptions) {
   EXPECT_EQ(Failures, 0);
 }
 
-/// Strided walk of the binary32 encoding space (coprime stride so the
-/// samples spread across every binade), one combo per boundary mode.
+/// Strided walk of the binary32 encoding space (a prime stride, so the
+/// samples spread across every binade and low-bit pattern), plus every
+/// binade boundary and its neighbours, under all nine symmetric combos.
 TEST(RyuBinary32, StridedMatchesExact) {
-  constexpr OptionCombo Combos[] = {
-      {BoundaryMode::Conservative, TieBreak::RoundUp},
-      {BoundaryMode::NearestEven, TieBreak::RoundEven},
-      {BoundaryMode::BothInclusive, TieBreak::RoundDown},
-  };
   std::vector<uint8_t> Digits;
   int Failures = 0;
   for (uint64_t Bits = 0; Bits <= 0xffffffffull; Bits += 65537) {
-    float Value = IeeeTraits<float>::fromBits(static_cast<uint32_t>(Bits));
-    FpClass Class = classify(Value);
-    if (Class != FpClass::Normal && Class != FpClass::Subnormal)
-      continue;
-    for (const OptionCombo &Combo : Combos) {
-      if (!checkOne(Value, Bits, Combo, Digits) && ++Failures >= 8) {
+    if ((Failures += checkAllCombos<float>(Bits, Digits)) >= 8)
+      FAIL() << "stopping after " << Failures << " mismatches";
+  }
+  for (uint64_t Exp = 1; Exp <= 254; ++Exp) {
+    const uint64_t PowerOfTwo = Exp << 23;
+    for (uint64_t Bits : {PowerOfTwo - 1, PowerOfTwo, PowerOfTwo + 1}) {
+      if ((Failures += checkAllCombos<float>(Bits, Digits)) >= 8)
         FAIL() << "stopping after " << Failures << " mismatches";
-      }
     }
   }
+  EXPECT_EQ(Failures, 0);
+}
+
+/// binary64 inputs whose scaled interval endpoints or midpoint are exact,
+/// where the inclusive/exclusive endpoint tests and the tie rule decide
+/// the output, under all nine symmetric combos:
+///   * m * 0.5 and m * 2^10 for small m (few significant bits);
+///   * runs of consecutive values spaced 2, 4, 8 and 16 just above 2^53,
+///     2^54, 2^55 and 2^56, where the endpoints are odd or even integers;
+///   * every binade boundary with its neighbours;
+///   * the smallest subnormals, where the interval is widest in digits;
+///   * random bit patterns.
+TEST(RyuBinary64, TieProneMatchesExactAllSymmetricOptions) {
+  std::vector<uint8_t> Digits;
+  int Failures = 0;
+  auto Check = [&](uint64_t Bits) {
+    Failures += checkAllCombos<double>(Bits, Digits);
+  };
+  for (int M = 1; M <= 4000 && Failures < 8; ++M) {
+    Check(IeeeTraits<double>::toBits(M * 0.5));
+    Check(IeeeTraits<double>::toBits(std::ldexp(static_cast<double>(M), 10)));
+  }
+  for (int Shift = 1; Shift <= 4 && Failures < 8; ++Shift) {
+    const uint64_t Start =
+        IeeeTraits<double>::toBits(std::ldexp(1.0, 52 + Shift));
+    for (uint64_t Bits = Start; Bits < Start + 2000; ++Bits)
+      Check(Bits);
+  }
+  for (uint64_t Exp = 1; Exp <= 2046 && Failures < 8; ++Exp) {
+    const uint64_t PowerOfTwo = Exp << 52;
+    for (uint64_t Bits : {PowerOfTwo - 1, PowerOfTwo, PowerOfTwo + 1})
+      Check(Bits);
+  }
+  for (uint64_t Bits = 1; Bits <= 3000 && Failures < 8; ++Bits)
+    Check(Bits);
+  std::mt19937_64 Rng(0x54696573ull); // "Ties"
+  for (int I = 0; I < 4000 && Failures < 8; ++I)
+    Check(Rng());
   EXPECT_EQ(Failures, 0);
 }
 

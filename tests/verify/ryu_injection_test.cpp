@@ -5,13 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The exhaustive tier guards the Ryu front line, proven the same way the
-/// digit-loop was in the original harness self-test: plant a bug (the
-/// digit-removal bound made inclusive instead of strict, so Ryu strips
-/// digits it must keep), demand the binary16 sweep catches it, the
-/// minimizer shrinks the failure to a two-line corpus record, and replay
-/// reproduces it -- then, with the hook off, the same record passes, which
-/// is exactly the regression-corpus lifecycle a real Ryu bug would follow.
+/// The exhaustive tier guards the shortest digit core, proven the way the
+/// digit loop was in the original harness self-test: plant a bug, demand
+/// the binary16 sweep catches it, the minimizer shrinks the failure to a
+/// two-line corpus record, and replay reproduces it -- then, judged
+/// against the library's own core, the same record passes, which is the
+/// regression-corpus lifecycle a real digit-core bug would follow.
+///
+/// The bug is planted without a test hook in the production path: the
+/// Schubfach core is a template over CoreMutation, and only this test
+/// instantiates CoreMutation::InclusiveLowerEndpoint (the lower-endpoint
+/// test admits the endpoint even where AcceptBounds excludes it).  The
+/// verify harness judges that instantiation through its DigitCore
+/// parameter.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,9 +26,9 @@
 
 #include "core/free_format.h"
 #include "fastpath/ryu.h"
+#include "fastpath/schubfach.h"
 #include "fp/binary16.h"
 #include "fp/ieee_traits.h"
-#include "support/testhooks.h"
 
 #include <gtest/gtest.h>
 
@@ -35,11 +41,8 @@ using namespace dragon4::verify;
 
 namespace {
 
-/// Restores the injected-bug hook on scope exit, so a failing test cannot
-/// poison the rest of the binary.
-struct HookGuard {
-  ~HookGuard() { testhooks::FlipRyuBoundComparison = false; }
-};
+constexpr DigitCore MutantCore = fastpath::schubfachShortest<
+    fastpath::CoreMutation::InclusiveLowerEndpoint>;
 
 BitPattern bits16(uint64_t Encoding) {
   BitPattern Bits;
@@ -48,35 +51,36 @@ BitPattern bits16(uint64_t Encoding) {
   return Bits;
 }
 
-/// Sanity on the bug itself, before involving the harness: with the hook
-/// on, Ryu's output for a value whose shortest form needs several digits
-/// comes out shorter than the exact answer (digits the reader needs were
-/// removed), while single-digit values may survive.  This pins the failure
-/// mode the sweep below is expected to catch.
+/// Sanity on the bug itself, before involving the harness.  0x6c09 is
+/// 4132 with an odd mantissa: its lower neighbour midpoint, 4130, is
+/// excluded under the default nearest-even reader (it reads back as the
+/// even neighbour 4128), so the exact answer needs all four digits.  The
+/// mutant admits the endpoint and emits 413e1 -- a required digit lost.
 TEST(RyuInjection, FlippedBoundRemovesRequiredDigits) {
-  HookGuard Guard;
-  Binary16 Value = Binary16::fromBits(0x3c01); // 1.0009765625, shortest 1.001
+  Binary16 Value = Binary16::fromBits(0x6c09);
   Decomposed D = decompose(Value);
   FreeFormatOptions Options;
   DigitString Exact =
       freeFormatDigits(D.F, D.E, IeeeTraits<Binary16>::Precision,
                        IeeeTraits<Binary16>::MinExponent, Options);
-  ASSERT_GT(Exact.Digits.size(), 1u);
+  ASSERT_EQ(Exact.digitsAsText(), "4132");
 
-  std::vector<uint8_t> Digits;
-  int K = 0;
-  bool AcceptBounds = false;
+  bool AcceptBounds = true;
   ASSERT_TRUE(ryuEligible(10, Options.Boundaries, (D.F & 1) == 0,
                           AcceptBounds));
+  ASSERT_FALSE(AcceptBounds);
 
-  testhooks::FlipRyuBoundComparison = true;
-  ASSERT_TRUE(ryuShortestInto(D.F, D.E, IeeeTraits<Binary16>::Precision,
-                              IeeeTraits<Binary16>::MinExponent, AcceptBounds,
-                              Options.Ties, Digits, K));
-  EXPECT_LT(Digits.size(), Exact.Digits.size())
-      << "hook failed to over-remove digits";
+  uint64_t Significand = 0;
+  int Length = 0;
+  int K = 0;
+  ASSERT_TRUE(MutantCore(D.F, D.E, IeeeTraits<Binary16>::Precision,
+                         IeeeTraits<Binary16>::MinExponent, AcceptBounds,
+                         Options.Ties, Significand, Length, K));
+  EXPECT_EQ(Significand, 413u);
+  EXPECT_LT(static_cast<size_t>(Length), Exact.Digits.size())
+      << "mutation failed to drop a required digit";
 
-  testhooks::FlipRyuBoundComparison = false;
+  std::vector<uint8_t> Digits;
   ASSERT_TRUE(ryuShortestInto(D.F, D.E, IeeeTraits<Binary16>::Precision,
                               IeeeTraits<Binary16>::MinExponent, AcceptBounds,
                               Options.Ties, Digits, K));
@@ -84,19 +88,18 @@ TEST(RyuInjection, FlippedBoundRemovesRequiredDigits) {
   EXPECT_EQ(K, Exact.K);
 }
 
-// The self-test that earns Ryu its place in front: flip its removal-loop
-// bound and demand the binary16 sweep catches it, the minimizer shrinks
+// The self-test that earns the digit core its place in front: judge the
+// mutant and demand the binary16 sweep catches it, the minimizer shrinks
 // it, and replay reproduces it.
 TEST(RyuInjection, BugCaughtMinimizedReplayed) {
-  HookGuard Guard;
-  testhooks::FlipRyuBoundComparison = true;
-
-  // Sweep an exhaustive subrange around 1.0, where shortest forms need
-  // several digits and the over-removal is guaranteed to be visible.
+  // Sweep an exhaustive subrange of [4096, 8192), where the interval
+  // endpoints are integers and some land exactly on a multiple of ten.
   std::vector<CorpusRecord> Failures;
-  for (uint64_t Encoding = 0x3c00; Encoding < 0x3c40; ++Encoding) {
-    Verdict Verdict = checkBits(bits16(Encoding));
+  for (uint64_t Encoding = 0x6c00; Encoding < 0x6c40; ++Encoding) {
+    Verdict Verdict = checkBits(bits16(Encoding), OracleAll, nullptr,
+                                MutantCore);
     if (!Verdict.ok()) {
+      EXPECT_TRUE(Verdict.Failed & OracleCore) << Verdict.Detail;
       CorpusRecord Record;
       Record.Bits = bits16(Encoding);
       Record.Oracles = Verdict.Failed;
@@ -105,11 +108,12 @@ TEST(RyuInjection, BugCaughtMinimizedReplayed) {
     }
   }
   ASSERT_FALSE(Failures.empty())
-      << "injected Ryu bound bug not caught by the sweep";
+      << "planted digit-core mutation not caught by the sweep";
 
   // Minimize the first failure: still failing, at most two corpus lines.
-  CorpusRecord Minimized = minimizeRecord(Failures.front());
-  EXPECT_FALSE(replayRecord(Minimized).ok());
+  CorpusRecord Minimized =
+      minimizeRecord(Failures.front(), 4096, MutantCore);
+  EXPECT_FALSE(replayRecord(Minimized, nullptr, MutantCore).ok());
   std::string Text = encodeRecord(Minimized);
   EXPECT_LE(std::count(Text.begin(), Text.end(), '\n'), 2);
 
@@ -121,11 +125,11 @@ TEST(RyuInjection, BugCaughtMinimizedReplayed) {
   std::string Error;
   ASSERT_TRUE(loadCorpus(Path, Loaded, &Error)) << Error;
   ASSERT_EQ(Loaded.size(), 1u);
-  EXPECT_FALSE(replayRecord(Loaded.front()).ok())
-      << "replayed record no longer reproduces the injected Ryu bug";
+  EXPECT_FALSE(replayRecord(Loaded.front(), nullptr, MutantCore).ok())
+      << "replayed record no longer reproduces the planted mutation";
 
-  // With the bug repaired, the same record passes: regression-corpus mode.
-  testhooks::FlipRyuBoundComparison = false;
+  // Judged against the library's own core, the same record passes:
+  // regression-corpus mode.
   EXPECT_TRUE(replayRecord(Loaded.front()).ok());
   std::remove(Path.c_str());
 }

@@ -69,7 +69,8 @@ TEST(VerifyNames, OracleNamesRoundTrip) {
   for (unsigned Mask : {unsigned(OracleRoundTrip), unsigned(OracleShortest),
                         unsigned(OracleReference), unsigned(OracleLibc),
                         unsigned(OracleEngine), unsigned(OracleParse),
-                        unsigned(OracleStd), OracleRoundTrip | OracleLibc,
+                        unsigned(OracleStd), unsigned(OracleCore),
+                        OracleRoundTrip | OracleLibc,
                         OracleParse | OracleEngine, unsigned(OracleAll)}) {
     auto Back = parseOracles(oracleNames(Mask));
     ASSERT_TRUE(Back.has_value()) << oracleNames(Mask);
@@ -116,8 +117,8 @@ TEST(VerifyOracles, VerdictCountersChargeScratch) {
   uint64_t Before = S.stats().VerifyChecked;
   Verdict Verdict = checkBits(bits64(2.5), OracleAll, &S);
   EXPECT_TRUE(Verdict.ok());
-  // binary64 supports all seven oracles; each run charges one verdict.
-  EXPECT_EQ(S.stats().VerifyChecked, Before + 7);
+  // binary64 supports all eight oracles; each run charges one verdict.
+  EXPECT_EQ(S.stats().VerifyChecked, Before + 8);
   EXPECT_EQ(S.stats().VerifyMismatches, 0u);
   // The parse oracle additionally charges its outcome counters ("2.5" is
   // inside the Eisel-Lemire fast path).

@@ -41,7 +41,6 @@
 ///   --obs-sample N       sample 1-in-N conversions (default: 1 when
 ///                        --stats-json/--trace is given, else off)
 ///   --inject-bug         flip a digit-loop comparison (harness self-test)
-///   --inject-ryu-bug     flip the Ryu removal-loop bound (harness self-test)
 ///
 /// On any mismatch, the per-worker flight recorders' records for the
 /// mismatching conversions are dumped and attached to corpus records.
@@ -98,7 +97,6 @@ struct Options {
   std::string TracePath;
   std::optional<uint64_t> ObsSample;
   bool InjectBug = false;
-  bool InjectRyuBug = false;
 };
 
 [[noreturn]] void usage(const char *Message) {
@@ -110,8 +108,7 @@ struct Options {
                "                         [--oracles list] [--threads N] "
                "[--corpus path [--minimize]]\n"
                "                         [--max-failures N] [--progress] "
-               "[--json path] [--bench-history path] [--inject-bug] "
-               "[--inject-ryu-bug]\n"
+               "[--json path] [--bench-history path] [--inject-bug]\n"
                "                         [--stats-json path] [--trace path] "
                "[--obs-sample N]\n"
                "       verify_exhaustive --domain <fmt> [...]\n"
@@ -200,8 +197,6 @@ Options parseArgs(int Argc, char **Argv) {
       Opts.ObsSample = parseUint(Arg().c_str(), "--obs-sample");
     } else if (Flag == "--inject-bug") {
       Opts.InjectBug = true;
-    } else if (Flag == "--inject-ryu-bug") {
-      Opts.InjectRyuBug = true;
     } else {
       usage(("unknown flag " + Flag).c_str());
     }
@@ -426,12 +421,6 @@ int main(int Argc, char **Argv) {
                  "verify_exhaustive: INJECTED BUG ACTIVE (digit-loop low "
                  "comparison flipped)\n");
     testhooks::FlipDigitLoopLowComparison = true;
-  }
-  if (Opts.InjectRyuBug) {
-    std::fprintf(stderr,
-                 "verify_exhaustive: INJECTED BUG ACTIVE (Ryu removal-loop "
-                 "bound flipped)\n");
-    testhooks::FlipRyuBoundComparison = true;
   }
 
   if (!Opts.ReplayPath.empty())
